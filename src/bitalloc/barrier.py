@@ -35,6 +35,7 @@ from .model import (
     DimensionMismatchError,
     FactorizationError,
     ProblemInstance,
+    allocation_array,
     evaluate,
     objective_value,
 )
@@ -105,7 +106,7 @@ class KktCertificate:
 
 
 def _interior_or_raise(instance: ProblemInstance, bits) -> np.ndarray:
-    arr = bits.bits if isinstance(bits, BitVector) else np.atleast_1d(np.asarray(bits, dtype=float))
+    arr = allocation_array(bits)
     if arr.shape != (instance.m,):
         raise DimensionMismatchError(f"allocation must have length {instance.m}")
     slack = instance.budget - arr.sum()
@@ -119,10 +120,7 @@ def _interior_or_raise(instance: ProblemInstance, bits) -> np.ndarray:
 def barrier_objective(instance: ProblemInstance, bits, mu: float) -> tuple[float, np.ndarray]:
     """Value and gradient of F(b) - mu*sum(log b) - mu*log(B - sum b)."""
     arr = _interior_or_raise(instance, bits)
-    ev = evaluate(instance, arr)
-    slack = instance.budget - arr.sum()
-    value = ev.objective - mu * float(np.log(arr).sum()) - mu * math.log(slack)
-    gradient = ev.gradient - mu / arr + mu / slack
+    value, gradient, _ = _Subproblem(instance, mu, memory=1).value_grad(arr)
     return value, gradient
 
 
@@ -224,7 +222,7 @@ def solve_barrier(
     if start is None:
         b = np.full(instance.m, (budget / instance.m) * (1.0 - 1e-6))
     else:
-        b = np.array(start.bits if isinstance(start, BitVector) else start, dtype=float)
+        b = np.array(allocation_array(start))
     b = _interior_or_raise(instance, b)
 
     clock = time.perf_counter

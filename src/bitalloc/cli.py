@@ -12,8 +12,6 @@ import argparse
 import sys
 
 from .experiments import (
-    DEFAULT_BUDGET_SWEEP,
-    DEFAULT_RATIO_SWEEP,
     EXIT_PLAN_ERROR,
     Experiment,
     ExperimentPlan,
@@ -40,30 +38,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PLAN_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="instance spec JSON (kind, d, m, kappa.*, budget_per_sensor, seed, paths.*)")
-    sub.add_argument("--trials", type=int, default=None, help="independent trials (default 30; 1 for validate)")
-    sub.add_argument("--solver", choices=[s.value for s in SolverChoice], default=None)
-    sub.add_argument("--out", help="summary CSV path; aggregates/traces land next to it")
-    sub.add_argument("--seed", type=int, default=0, help="plan seed; trial t uses seed+t")
-    sub.add_argument("--time-limit", type=float, default=600.0, help="per-solve wall clock limit in seconds")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads across trials")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bitalloc", description="Bit-budget allocation across quantized linear sensors")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, experiment in (
-        ("solve", Experiment.SOLVE),
-        ("compare", Experiment.COMPARE_SOLVERS),
-        ("rounding-gap", Experiment.ROUNDING_GAP),
-        ("uniform-sweep", Experiment.UNIFORM_SWEEP),
-        ("sensor-scaling", Experiment.SENSOR_SCALING),
-        ("validate", Experiment.VALIDATE),
-    ):
-        sub = commands.add_parser(name)
+    for experiment in Experiment:
+        sub = commands.add_parser(experiment.value)
         sub.set_defaults(experiment=experiment)
-        _add_common(sub)
+        sub.add_argument(
+            "--config", help="instance spec JSON (kind, d, m, kappa.*, budget_per_sensor, seed, paths.*)"
+        )
+        trials = 1 if experiment is Experiment.VALIDATE else 30
+        sub.add_argument("--trials", type=int, default=trials, help="independent trials (default %(default)s)")
+        sub.add_argument("--out", help="summary CSV path; aggregates/traces land next to it")
+        sub.add_argument("--seed", type=int, default=0, help="plan seed; trial t uses seed+t")
+        sub.add_argument("--time-limit", type=float, default=600.0, help="per-solve wall clock limit in seconds")
+        sub.add_argument("--threads", type=int, default=1, help="worker threads across trials")
+        if experiment is Experiment.SOLVE:
+            sub.add_argument("--solver", choices=[s.value for s in SolverChoice], default="both")
         if experiment in (Experiment.UNIFORM_SWEEP, Experiment.SENSOR_SCALING):
             sub.add_argument(
                 "--sweep",
@@ -77,35 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _plan_from_args(args) -> ExperimentPlan:
     experiment: Experiment = args.experiment
     spec = load_spec(args.config) if args.config else _DEFAULT_SPECS[experiment]
-    solver = SolverChoice(args.solver) if args.solver else _default_solver(experiment)
     sweep = None
     if getattr(args, "sweep", None):
         sweep = tuple(float(v) for v in args.sweep.split(","))
-    elif experiment is Experiment.UNIFORM_SWEEP:
-        sweep = DEFAULT_BUDGET_SWEEP
-    elif experiment is Experiment.SENSOR_SCALING:
-        sweep = DEFAULT_RATIO_SWEEP
-    trials = args.trials if args.trials is not None else (1 if experiment is Experiment.VALIDATE else 30)
     return ExperimentPlan(
         experiment=experiment,
         instance_spec=spec,
-        trials=trials,
+        trials=args.trials,
         sweep_values=sweep,
-        solver=solver,
+        solver=SolverChoice(getattr(args, "solver", SolverChoice.BOTH.value)),
         output_path=args.out,
         seed=args.seed,
         time_limit=args.time_limit,
         threads=args.threads,
         mc_samples=getattr(args, "samples", 100_000),
     )
-
-
-def _default_solver(experiment: Experiment) -> SolverChoice:
-    if experiment in (Experiment.ROUNDING_GAP, Experiment.UNIFORM_SWEEP):
-        return SolverChoice.BARRIER
-    if experiment is Experiment.SENSOR_SCALING:
-        return SolverChoice.FW
-    return SolverChoice.BOTH
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,7 @@ from .model import (
     Evaluation,
     FactorizationError,
     ProblemInstance,
+    allocation_array,
     evaluate,
     lipschitz_constant,
 )
@@ -92,7 +93,7 @@ def fw_gap(bits, gradient, budget: float) -> float:
     gradient entries are nonnegative, where the oracle returns the origin.
     """
     g = _gradient_array(gradient)
-    arr = bits.bits if isinstance(bits, BitVector) else np.atleast_1d(np.asarray(bits, dtype=float))
+    arr = allocation_array(bits)
     if arr.shape != g.shape:
         raise DimensionMismatchError(f"allocation shape {arr.shape} does not match gradient shape {g.shape}")
     return float(arr @ g - budget * min(0.0, float(g.min())))
@@ -134,10 +135,10 @@ def separable_warm_start(
         gradient = evaluate(instance, bits).gradient
         levels = bits + np.log(np.maximum(np.abs(gradient), 1e-300)) / np.log(4.0)
         refined = (1.0 - damping) * bits + damping * _waterfill(levels, instance.budget)
-        if np.max(np.abs(refined - bits)) < 1e-12:
-            bits = refined
-            break
+        converged = np.max(np.abs(refined - bits)) < 1e-12
         bits = refined
+        if converged:
+            break
     return BitVector(np.maximum(bits, 0.0))
 
 
@@ -161,27 +162,27 @@ def _adaptive_step(instance, b, ev, gap, vertex, l_hat, l_cap, budget):
     while True:
         gamma = min(gap / (l_hat * denom), 1.0) if denom > 0.0 else 0.0
         trial = _convex_step(b, gamma, vertex, budget)
-        try:
-            ev_trial = evaluate(instance, trial)
-            accepted = ev_trial.objective <= ev.objective - 0.5 * gamma * gap + _DECREASE_SLACK
-        except (BitRangeError, FactorizationError):
-            ev_trial = None
-            accepted = False
-        if accepted:
-            return gamma, trial, ev_trial, l_hat
-        if l_hat >= l_cap:
-            if ev_trial is not None:
+        ev_trial = _evaluate_or_none(instance, trial)
+        if ev_trial is not None:
+            if l_hat >= l_cap or ev_trial.objective <= ev.objective - 0.5 * gamma * gap + _DECREASE_SLACK:
                 return gamma, trial, ev_trial, l_hat
-            # not even representable at the cap: shrink until it is
-            while ev_trial is None:
-                gamma *= 0.5
-                trial = _convex_step(b, gamma, vertex, budget)
-                try:
-                    ev_trial = evaluate(instance, trial)
-                except (BitRangeError, FactorizationError):
-                    ev_trial = None
-            return gamma, trial, ev_trial, l_hat
+        elif l_hat >= l_cap:
+            break
         l_hat = min(2.0 * l_hat, l_cap)
+    # not even representable at the cap: shrink until it is
+    while ev_trial is None:
+        gamma *= 0.5
+        trial = _convex_step(b, gamma, vertex, budget)
+        ev_trial = _evaluate_or_none(instance, trial)
+    return gamma, trial, ev_trial, l_hat
+
+
+def _evaluate_or_none(instance, bits):
+    """Evaluation at a trial point, or None where 4**b overflows or the factorization fails."""
+    try:
+        return evaluate(instance, bits)
+    except (BitRangeError, FactorizationError):
+        return None
 
 
 def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=None) -> SolveTrace:
@@ -197,7 +198,7 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
     if start is None:
         b = np.zeros(instance.m)
     else:
-        b = np.array(start.bits if isinstance(start, BitVector) else start, dtype=float)
+        b = np.array(allocation_array(start))
         if b.shape != (instance.m,):
             raise DimensionMismatchError(f"start must have length {instance.m}")
         if not BitVector(b).feasible_for(budget):

@@ -178,14 +178,13 @@ def _grid_laplacian(rng, d: int) -> np.ndarray:
 def generate(spec: InstanceSpec) -> ProblemInstance:
     """Materialize a spec into a validated problem instance."""
     rng = np.random.default_rng(spec.seed)
-    if spec.kind is InstanceKind.RANDOM_GAUSSIAN:
-        sensing = rng.standard_normal((spec.m, spec.d))
-        kappa = rng.uniform(spec.kappa.low, spec.kappa.high, size=spec.m)
+    if spec.kind is not InstanceKind.FROM_FILES:
+        if spec.kind is InstanceKind.RANDOM_GAUSSIAN:
+            sensing = rng.standard_normal((spec.m, spec.d))
+        else:
+            sensing = _grid_laplacian(rng, spec.d)
+        kappa = rng.uniform(spec.kappa.low, spec.kappa.high, size=spec.m)  # grids have m = d
         return ProblemInstance.with_identity_prior(sensing, kappa, spec.budget_per_sensor * spec.m)
-    if spec.kind is InstanceKind.GRID_LAPLACIAN:
-        sensing = _grid_laplacian(rng, spec.d)
-        kappa = rng.uniform(spec.kappa.low, spec.kappa.high, size=spec.d)
-        return ProblemInstance.with_identity_prior(sensing, kappa, spec.budget_per_sensor * spec.d)
 
     paths = spec.paths or {}
     sensing = load_matrix(paths["sensing_matrix"])

@@ -215,8 +215,13 @@ class Evaluation:
             raise BitAllocationError(f"objective must be positive, got {self.objective}")
 
 
+def allocation_array(bits) -> np.ndarray:
+    """An allocation as a float array: a BitVector's own array, else a 1-D view or conversion."""
+    return bits.bits if isinstance(bits, BitVector) else np.atleast_1d(np.asarray(bits, dtype=float))
+
+
 def _bits_array(instance: ProblemInstance, bits) -> np.ndarray:
-    arr = bits.bits if isinstance(bits, BitVector) else np.atleast_1d(np.asarray(bits, dtype=float))
+    arr = allocation_array(bits)
     if arr.shape != (instance.m,):
         raise DimensionMismatchError(f"allocation must have length {instance.m}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -231,6 +236,16 @@ def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
     """Per-channel precision kappa_i * 4**b_i for an allocation."""
     arr = _bits_array(instance, bits)
     return instance.kappa * 4.0 ** arr
+
+
+def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, float]:
+    """Precisions, information-matrix Cholesky factor and objective: one factorization."""
+    rho = precision_from_bits(instance, bits)
+    scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
+    info = instance.prior_inverse + scaled.T @ scaled
+    factor = cholesky_lower(info)
+    inv_factor = solve_triangular(factor, np.eye(instance.d), lower=True, check_finite=False)
+    return rho, factor, float(np.sum(inv_factor * inv_factor))
 
 
 def evaluate(instance: ProblemInstance, bits) -> Evaluation:
@@ -248,13 +263,7 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     allowed (the objective is defined on all of R^m); values above MAX_BITS
     raise BitRangeError before they can overflow.
     """
-    arr = _bits_array(instance, bits)
-    rho = instance.kappa * 4.0 ** arr
-    scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
-    info = instance.prior_inverse + scaled.T @ scaled
-    factor = cholesky_lower(info)
-    inv_factor = solve_triangular(factor, np.eye(instance.d), lower=True, check_finite=False)
-    objective = float(np.sum(inv_factor * inv_factor))
+    rho, factor, objective = _assemble(instance, bits)
     cov_ht = cho_solve((factor, True), instance.sensing_matrix.T, check_finite=False)
     quad = np.einsum("ij,ij->j", cov_ht, cov_ht)
     gradient = -LN4 * rho * quad
@@ -267,13 +276,7 @@ def objective_value(instance: ProblemInstance, bits) -> float:
     Same single-factorization cost structure as :func:`evaluate`; used by
     line searches that probe many trial points before committing to one.
     """
-    arr = _bits_array(instance, bits)
-    rho = instance.kappa * 4.0 ** arr
-    scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
-    info = instance.prior_inverse + scaled.T @ scaled
-    factor = cholesky_lower(info)
-    inv_factor = solve_triangular(factor, np.eye(instance.d), lower=True, check_finite=False)
-    return float(np.sum(inv_factor * inv_factor))
+    return _assemble(instance, bits)[2]
 
 
 def lipschitz_constant(instance: ProblemInstance) -> float:

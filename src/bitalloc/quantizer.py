@@ -23,9 +23,9 @@ from enum import Enum
 import numpy as np
 
 from .model import (
-    BitVector,
     DimensionMismatchError,
     ProblemInstance,
+    allocation_array,
     cholesky_lower,
     evaluate,
 )
@@ -54,7 +54,7 @@ class QuantizerBank:
     @classmethod
     def for_allocation(cls, instance: ProblemInstance, bits, mode: DitherMode, seed: int) -> "QuantizerBank":
         """Bin widths implied by an allocation: R_i / 2^{b_i} with R_i = sqrt(12/kappa_i)."""
-        arr = bits.bits if isinstance(bits, BitVector) else np.atleast_1d(np.asarray(bits, dtype=float))
+        arr = allocation_array(bits)
         if arr.shape != (instance.m,):
             raise DimensionMismatchError(f"allocation must have length {instance.m}")
         dynamic_range = np.sqrt(12.0 / instance.kappa)

@@ -11,6 +11,7 @@ the objective increase is at most L/2 times that same sum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from .model import (
     BitVector,
     DimensionMismatchError,
     ProblemInstance,
+    allocation_array,
     evaluate,
     lipschitz_constant,
 )
@@ -46,7 +48,7 @@ class RoundingReport:
 
 
 def _continuous_array(b_bar) -> np.ndarray:
-    arr = b_bar.bits if isinstance(b_bar, BitVector) else np.atleast_1d(np.asarray(b_bar, dtype=float))
+    arr = allocation_array(b_bar)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatchError("continuous allocation must be a nonempty 1-D vector")
     if np.any(arr < -1e-12):
@@ -54,13 +56,17 @@ def _continuous_array(b_bar) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
+def _residual_budget(budget: float, floors: np.ndarray) -> int:
+    """How many coordinates round up: budget - sum(floor(b)), rounded down to keep it feasible."""
+    return max(math.floor(budget - floors.sum() + 1e-9), 0)  # 1e-9: roundoff never loses a whole unit
+
+
 def round_largest_remainder(b_bar, budget: float) -> RoundingReport:
     """Round a budget-saturated continuous allocation to integers.
 
     The residual budget is recovered in integer arithmetic from
     budget - sum(floor(b)), so saturation slack up to SLACK_TOL * max(1, B)
-    cannot change how many coordinates round up.  For non-integral budgets
-    the residual is rounded down, keeping the result feasible.
+    cannot change how many coordinates round up.
     """
     arr = _continuous_array(b_bar)
     slack = budget - arr.sum()
@@ -72,11 +78,7 @@ def round_largest_remainder(b_bar, budget: float) -> RoundingReport:
         )
     floors = np.floor(arr)
     remainders = arr - floors
-    target = budget - floors.sum()
-    residual = int(round(target))
-    if residual > target + 1e-9:  # non-integral budget: round the residual down
-        residual -= 1
-    residual = max(residual, 0)
+    residual = _residual_budget(budget, floors)
     order = np.argsort(-remainders, kind="stable")  # stable: ties go to the lowest index
     lift = np.zeros(arr.size)
     lift[order[:residual]] = 1.0
@@ -102,7 +104,7 @@ def verify_nearest_point(b_bar, rounded: BitVector) -> bool:
     m = arr.size
     if m > 20:
         raise DimensionMismatchError(f"brute-force nearest-point check limited to m <= 20, got m = {m}")
-    hat = rounded.bits if isinstance(rounded, BitVector) else np.asarray(rounded, dtype=float)
+    hat = allocation_array(rounded)
     floors = np.floor(arr)
     residual = int(round(float((hat - floors).sum())))
     achieved = float(np.sum((hat - arr) ** 2))
@@ -115,24 +117,25 @@ def verify_nearest_point(b_bar, rounded: BitVector) -> bool:
 
 
 def rounding_gap_bound(instance: ProblemInstance, b_bar, lipschitz: float | None = None) -> tuple[float, float]:
-    """Objective-increase bound L/2 * sum r(1-r), and the coarser L/2 * min(R, m/4)."""
+    """Objective-increase bound L/2 * sum r(1-r), and the coarser L/2 * min(R, m/4).
+
+    R is the number of coordinates :func:`round_largest_remainder` rounds up.
+    """
     arr = _continuous_array(b_bar)
     if arr.size != instance.m:
         raise DimensionMismatchError(f"allocation must have length {instance.m}")
     lip = lipschitz_constant(instance) if lipschitz is None else lipschitz
-    remainders = arr - np.floor(arr)
-    residual = int(round(float(instance.budget - np.floor(arr).sum())))
+    floors = np.floor(arr)
+    remainders = arr - floors
     bound = 0.5 * lip * float(np.sum(remainders * (1.0 - remainders)))
-    simplified = 0.5 * lip * min(float(residual), instance.m / 4.0)
+    simplified = 0.5 * lip * min(float(_residual_budget(instance.budget, floors)), instance.m / 4.0)
     return bound, simplified
 
 
 def round_with_guarantees(instance: ProblemInstance, b_bar, lipschitz: float | None = None) -> RoundingReport:
     """Full rounding report: geometry, objective gap, and its bounds."""
     report = round_largest_remainder(b_bar, instance.budget)
-    lip = lipschitz_constant(instance) if lipschitz is None else lipschitz
-    gap_bound = 0.5 * lip * report.distance_bound
-    simplified = 0.5 * lip * min(float(report.residual_budget), instance.m / 4.0)
+    gap_bound, simplified = rounding_gap_bound(instance, b_bar, lipschitz)
     objective_before = evaluate(instance, b_bar).objective
     objective_after = evaluate(instance, report.rounded_bits).objective
     return replace(

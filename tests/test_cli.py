@@ -72,6 +72,15 @@ def test_bad_flag_exits_one():
     assert exc_info.value.code == 1
 
 
+def test_solver_flag_only_on_solve(capsys):
+    # only solve reads the solver choice; elsewhere the flag is a usage error
+    for command in ("compare", "rounding-gap", "uniform-sweep", "sensor-scaling", "validate"):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--solver", "fw"])
+        assert exc_info.value.code == 1
+        assert "unrecognized arguments: --solver fw" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc_info:
         main([])

@@ -117,11 +117,20 @@ class TestNearestPoint:
 
 class TestGapBounds:
     def test_arithmetic_example(self):
-        inst = random_instance(0, d=3, m=3, budget_per_sensor=1.0)
-        b_bar = np.array([0.7, 1.2, 1.1])  # remainders 0.7, 0.2, 0.1
-        bound, simplified = rounding_gap_bound(inst, b_bar, lipschitz=2.0)
-        assert bound == pytest.approx(0.46, rel=1e-12)
-        assert simplified >= bound
+        cases = [
+            # remainders 0.7, 0.2, 0.1; one coordinate rounds up
+            (3, 1.0, [0.7, 1.2, 1.1], 0.46, 0.75),
+            # B = 26.6 is not integral: two coordinates round up, not round(2.6) = 3
+            (12, 26.6 / 12, [2.65] * 4 + [2.0] * 8, 4 * 0.65 * 0.35, 2.0),
+        ]
+        for m, per_sensor, b_bar, expected_bound, expected_simplified in cases:
+            inst = random_instance(0, d=3, m=m, budget_per_sensor=per_sensor)
+            bound, simplified = rounding_gap_bound(inst, np.array(b_bar), lipschitz=2.0)
+            assert bound == pytest.approx(expected_bound, rel=1e-12)
+            assert simplified == pytest.approx(expected_simplified, rel=1e-12)
+            assert simplified >= bound
+            report = round_with_guarantees(inst, np.array(b_bar), lipschitz=2.0)
+            assert (report.gap_bound, report.simplified_gap_bound) == (bound, simplified)
 
     def test_integral_input_gives_zero(self):
         inst = random_instance(1, d=3, m=3, budget_per_sensor=2.0)
