@@ -2,9 +2,12 @@
 
 The constrained relaxation is replaced by a sequence of unconstrained
 subproblems  F(b) - mu * sum(log b_i) - mu * log(B - sum b)  with mu driven
-down geometrically.  Each subproblem is minimized by L-BFGS with an Armijo
-backtracking line search and a fraction-to-boundary step cap, so every
-iterate stays strictly interior.
+down geometrically, from 1 by a factor of 10 per stage to the configured
+final value.  Each subproblem is minimized by L-BFGS (memory 10) with an
+Armijo backtracking line search and a fraction-to-boundary step cap, so every
+iterate stays strictly interior.  The schedule, the memory, the inner
+tolerance and the inner iteration and stall limits are module constants; only
+the final mu and the wall-clock limit are configurable.
 
 Two implementation choices matter for conditioning.  First, the seed matrix
 of the two-loop recursion is not a scalar: the barrier's own curvature
@@ -41,6 +44,12 @@ from .model import (
 )
 from .trace import IterationRecord, SolveTrace, Termination
 
+_MU_INITIAL = 1.0
+_MU_DECREASE_FACTOR = 0.1
+_INNER_GRADIENT_TOLERANCE = 1e-8
+_LBFGS_MEMORY = 10
+_MAX_INNER_ITERATIONS = 500
+_STALL_WINDOW = 60
 _ARMIJO_C1 = 1e-4
 _BOUNDARY_FRACTION = 0.995
 _MAX_BACKTRACKS = 60
@@ -71,28 +80,14 @@ class LineSearchError(BitAllocationError):
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    mu_initial: float = 1.0
-    mu_decrease_factor: float = 0.1
     mu_final: float = 1e-9
-    inner_gradient_tolerance: float = 1e-8
-    lbfgs_memory: int = 10
     time_limit: float = 600.0
-    max_inner_iterations: int = 500
-    stall_window: int = 60
 
     def __post_init__(self):
-        if not 0.0 < self.mu_final < self.mu_initial:
-            raise ValueError("need 0 < mu_final < mu_initial")
-        if not 0.0 < self.mu_decrease_factor < 1.0:
-            raise ValueError("mu_decrease_factor must lie in (0, 1)")
-        if self.inner_gradient_tolerance <= 0.0:
-            raise ValueError("inner_gradient_tolerance must be positive")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be at least 1")
+        if not 0.0 < self.mu_final < _MU_INITIAL:
+            raise ValueError(f"need 0 < mu_final < {_MU_INITIAL:g}")
         if self.time_limit <= 0.0:
             raise ValueError("time_limit must be positive")
-        if self.max_inner_iterations < 1 or self.stall_window < 1:
-            raise ValueError("iteration limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,18 +115,17 @@ def _interior_or_raise(instance: ProblemInstance, bits) -> np.ndarray:
 def barrier_objective(instance: ProblemInstance, bits, mu: float) -> tuple[float, np.ndarray]:
     """Value and gradient of F(b) - mu*sum(log b) - mu*log(B - sum b)."""
     arr = _interior_or_raise(instance, bits)
-    value, gradient, _ = _Subproblem(instance, mu, memory=1).value_grad(arr)
+    value, gradient, _ = _Subproblem(instance, mu).value_grad(arr)
     return value, gradient
 
 
 class _Subproblem:
     """One barrier subproblem at fixed mu, solved by seeded L-BFGS."""
 
-    def __init__(self, instance, mu, memory):
+    def __init__(self, instance, mu):
         self.instance = instance
         self.budget = instance.budget
         self.mu = mu
-        self.memory = memory
         self.s_pairs: list[np.ndarray] = []
         self.y_pairs: list[np.ndarray] = []
 
@@ -190,7 +184,7 @@ class _Subproblem:
         if s_vec @ y_vec > _PAIR_SKIP * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
             self.s_pairs.append(s_vec)
             self.y_pairs.append(y_vec)
-            if len(self.s_pairs) > self.memory:
+            if len(self.s_pairs) > _LBFGS_MEMORY:
                 self.s_pairs.pop(0)
                 self.y_pairs.pop(0)
 
@@ -230,27 +224,25 @@ def solve_barrier(
     records: list[IterationRecord] = []
     termination = Termination.GAP_CONVERGED
     global_iter = 0
-    ev = None
-    grad = None
 
-    mus = [cfg.mu_initial]
-    while mus[-1] * cfg.mu_decrease_factor > cfg.mu_final * (1.0 + 1e-9):
-        mus.append(mus[-1] * cfg.mu_decrease_factor)
+    mus = [_MU_INITIAL]
+    while mus[-1] * _MU_DECREASE_FACTOR > cfg.mu_final * (1.0 + 1e-9):
+        mus.append(mus[-1] * _MU_DECREASE_FACTOR)
     mus.append(cfg.mu_final)
 
     out_of_time = False
     for stage, mu in enumerate(mus):
         final_stage = stage == len(mus) - 1
-        tol = cfg.inner_gradient_tolerance * max(1.0, mu)
+        tol = _INNER_GRADIENT_TOLERANCE * max(1.0, mu)
         if not final_stage:
             tol = max(tol, _PATH_TRACK_FACTOR * mu)
-        sub = _Subproblem(instance, mu, cfg.lbfgs_memory)
+        sub = _Subproblem(instance, mu)
         val, grad, ev = sub.value_grad(b)
         grad_norm = float(np.max(np.abs(grad)))
         history = [grad_norm]
         inner = 0
-        window = 2 * cfg.stall_window if final_stage else cfg.stall_window
-        while grad_norm > tol and inner < cfg.max_inner_iterations:
+        window = 2 * _STALL_WINDOW if final_stage else _STALL_WINDOW
+        while grad_norm > tol and inner < _MAX_INNER_ITERATIONS:
             if clock() - t0 >= cfg.time_limit:
                 out_of_time = True
                 break
@@ -299,8 +291,6 @@ def solve_barrier(
             termination = Termination.TIME_LIMIT
             break
 
-    if ev is None or grad is None:  # no inner step was ever needed
-        val, grad, ev = _Subproblem(instance, mus[-1], cfg.lbfgs_memory).value_grad(b)
     if not records:
         records.append(
             IterationRecord(0, ev.objective, float(np.max(np.abs(grad))), 0.0, None, mus[-1], clock() - t0)

@@ -47,12 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--config", help="instance spec JSON (kind, d, m, kappa.*, budget_per_sensor, seed, paths.*)"
         )
-        trials = 1 if experiment is Experiment.VALIDATE else 30
-        sub.add_argument("--trials", type=int, default=trials, help="independent trials (default %(default)s)")
         sub.add_argument("--out", help="summary CSV path; aggregates/traces land next to it")
         sub.add_argument("--seed", type=int, default=0, help="plan seed; trial t uses seed+t")
-        sub.add_argument("--time-limit", type=float, default=600.0, help="per-solve wall clock limit in seconds")
         sub.add_argument("--threads", type=int, default=1, help="worker threads across trials")
+        if experiment is not Experiment.VALIDATE:  # validate draws one instance and runs no solver
+            sub.add_argument("--trials", type=int, default=30, help="independent trials (default %(default)s)")
+            sub.add_argument(
+                "--time-limit", type=float, default=600.0, help="per-solve wall clock limit in seconds"
+            )
         if experiment is Experiment.SOLVE:
             sub.add_argument("--solver", choices=[s.value for s in SolverChoice], default="both")
         if experiment in (Experiment.UNIFORM_SWEEP, Experiment.SENSOR_SCALING):
@@ -71,17 +73,17 @@ def _plan_from_args(args) -> ExperimentPlan:
     sweep = None
     if getattr(args, "sweep", None):
         sweep = tuple(float(v) for v in args.sweep.split(","))
+    trial_options = {key: getattr(args, key) for key in ("trials", "time_limit") if hasattr(args, key)}
     return ExperimentPlan(
         experiment=experiment,
         instance_spec=spec,
-        trials=args.trials,
         sweep_values=sweep,
         solver=SolverChoice(getattr(args, "solver", SolverChoice.BOTH.value)),
         output_path=args.out,
         seed=args.seed,
-        time_limit=args.time_limit,
         threads=args.threads,
         mc_samples=getattr(args, "samples", 100_000),
+        **trial_options,
     )
 
 

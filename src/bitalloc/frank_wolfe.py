@@ -36,6 +36,8 @@ from .trace import GapCertificate, IterationRecord, SolveTrace, Termination
 
 _L_HAT_FLOOR = 1e-12
 _DECREASE_SLACK = 1e-12
+_WARM_START_REFINEMENTS = 60
+_WARM_START_DAMPING = 0.5
 
 
 class StepRule(Enum):
@@ -49,7 +51,6 @@ class FwConfig:
     gap_tolerance: float = 1e-6
     time_limit: float = 600.0
     step_rule: StepRule = StepRule.ADAPTIVE_LIPSCHITZ
-    lipschitz_override: float | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -58,8 +59,6 @@ class FwConfig:
             raise ValueError("gap_tolerance must be positive")
         if self.time_limit <= 0.0:
             raise ValueError("time_limit must be positive")
-        if self.lipschitz_override is not None and self.lipschitz_override <= 0.0:
-            raise ValueError("lipschitz_override must be positive")
 
 
 def _gradient_array(gradient) -> np.ndarray:
@@ -114,27 +113,25 @@ def _waterfill(levels: np.ndarray, budget: float) -> np.ndarray:
     return out
 
 
-def separable_warm_start(
-    instance: ProblemInstance, max_refinements: int = 60, damping: float = 0.5
-) -> BitVector:
+def separable_warm_start(instance: ProblemInstance) -> BitVector:
     """Water-filling start from successively refitted separable models.
 
     Fits the bit-loading surrogate sum_i a_i 4**(-b_i) to the true gradient
     at the current point (a_i = |grad_i| * 4**b_i / ln 4), water-fills it in
-    closed form, and repeats with damping.  A fixed point equalizes gradient
-    magnitudes over the support, which is exactly first-order stationarity on
-    the budget face, so this lands at or very near a stationary point for a
-    few dozen evaluations.  Weak sensors are cut to exactly zero rather than
-    drained asymptotically, which is what makes it an effective start for the
-    conditional-gradient solver.
+    closed form, and repeats with damping 1/2, at most 60 times.  A fixed
+    point equalizes gradient magnitudes over the support, which is exactly
+    first-order stationarity on the budget face, so this lands at or very
+    near a stationary point for a few dozen evaluations.  Weak sensors are
+    cut to exactly zero rather than drained asymptotically, which is what
+    makes it an effective start for the conditional-gradient solver.
     """
     if instance.budget <= 0.0:
         return BitVector.zeros(instance.m)
     bits = np.full(instance.m, instance.budget / instance.m)
-    for _ in range(max_refinements):
+    for _ in range(_WARM_START_REFINEMENTS):
         gradient = evaluate(instance, bits).gradient
         levels = bits + np.log(np.maximum(np.abs(gradient), 1e-300)) / np.log(4.0)
-        refined = (1.0 - damping) * bits + damping * _waterfill(levels, instance.budget)
+        refined = (1.0 - _WARM_START_DAMPING) * bits + _WARM_START_DAMPING * _waterfill(levels, instance.budget)
         converged = np.max(np.abs(refined - bits)) < 1e-12
         bits = refined
         if converged:
@@ -203,7 +200,7 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
             raise DimensionMismatchError(f"start must have length {instance.m}")
         if not BitVector(b).feasible_for(budget):
             raise DimensionMismatchError(f"start exceeds budget: sum {b.sum():.6g} > {budget:.6g}")
-    lip = cfg.lipschitz_override if cfg.lipschitz_override is not None else lipschitz_constant(instance)
+    lip = lipschitz_constant(instance)
 
     records: list[IterationRecord] = []
     clock = time.perf_counter

@@ -32,6 +32,9 @@ MAX_BITS = 256.0
 # combinations), matching the feasibility slack asserted on solver output.
 NEGATIVITY_TOL = 1e-12
 
+# Budget overshoot that BitVector.feasible_for still accepts.
+_BUDGET_TOL = 1e-9
+
 
 class BitAllocationError(Exception):
     """Base class for errors raised by this package."""
@@ -110,8 +113,8 @@ class BitVector:
     def total(self) -> float:
         return float(self.bits.sum())
 
-    def feasible_for(self, budget: float, tol: float = 1e-9) -> bool:
-        return self.total <= budget + tol
+    def feasible_for(self, budget: float) -> bool:
+        return self.total <= budget + _BUDGET_TOL
 
 
 @dataclass(frozen=True)
@@ -120,13 +123,14 @@ class ProblemInstance:
 
     Derived quantities that every evaluation needs (prior factor, prior
     inverse, spectral norm of the prior) are computed once here and cached.
+    An exact identity prior takes them in closed form, skipping the
+    factorization and the eigensolve.
     """
 
     sensing_matrix: np.ndarray
     prior_covariance: np.ndarray
     kappa: np.ndarray
     budget: float
-    identity_prior: bool = False
     prior_factor: np.ndarray = field(init=False, repr=False)
     prior_inverse: np.ndarray = field(init=False, repr=False)
     prior_spectral_norm: float = field(init=False)
@@ -157,9 +161,7 @@ class ProblemInstance:
         cov = np.asarray(self.prior_covariance, dtype=float)
         if cov.shape != (d, d):
             raise DimensionMismatchError(f"prior covariance must be {d}x{d}, got shape {cov.shape}")
-        if self.identity_prior:
-            if not np.array_equal(cov, np.eye(d)):
-                raise DimensionMismatchError("identity_prior set but prior covariance is not the identity")
+        if np.array_equal(cov, np.eye(d)):
             factor = np.eye(d)
             inverse = np.eye(d)
             spectral = 1.0
@@ -186,11 +188,11 @@ class ProblemInstance:
 
     @classmethod
     def with_identity_prior(cls, sensing_matrix, kappa, budget) -> "ProblemInstance":
-        """Constructor for the common unit-prior setting, skipping the eigensolve."""
+        """Constructor for the common unit-prior setting."""
         h = np.asarray(sensing_matrix, dtype=float)
         if h.ndim != 2:
             raise DimensionMismatchError(f"sensing matrix must be 2-D, got shape {h.shape}")
-        return cls(h, np.eye(h.shape[1]), kappa, budget, identity_prior=True)
+        return cls(h, np.eye(h.shape[1]), kappa, budget)
 
     @property
     def m(self) -> int:

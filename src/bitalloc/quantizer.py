@@ -8,7 +8,8 @@ is conditionally unbiased but its error variance is signal-dependent (up to
 Delta^2/4 near bin edges); subtracting the dither at the decoder makes the
 error exactly uniform on (-Delta/2, Delta/2) and independent of the signal,
 so in subtractive mode the analytic error covariance is exact and the
-Monte-Carlo check is sharp.
+Monte-Carlo check is sharp.  The estimator under test is the LMMSE estimator
+in information form, so its one factorization is of a d x d matrix.
 
 Sampling is single-threaded and seed-deterministic.  Anyone splitting the
 sample loop across workers must partition a jumpable or counter-based stream
@@ -89,9 +90,12 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
 
     Draws states from the prior (through its cached Cholesky factor),
     quantizes each clean channel with independent uniform dither, applies the
-    measurement-space estimator  C_x H' (H C_x H' + D)^{-1} y  with
-    D = diag(Delta^2/12), and compares the empirical MSE against the model
-    prediction from the evaluation kernel.
+    information-form estimator  (C_x^{-1} + H' W H)^{-1} H' W y  with
+    W = diag(12/Delta^2), and compares the empirical MSE against the model
+    prediction from the evaluation kernel.  The estimator factors one d x d
+    information matrix, which stays positive definite when nearly noiseless
+    channels make the m x m measurement-space Gram  H C_x H' + W^{-1}
+    numerically singular.
     """
     if sample_count < 1:
         raise DimensionMismatchError("sample_count must be at least 1")
@@ -107,10 +111,10 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     dither = rng.uniform(-0.5, 0.5, size=clean.shape) * widths
     readings = quantize(clean, widths, dither, bank.dither_mode)
 
-    noise_cov = np.diag(bank.bin_widths**2 / 12.0)
-    gram = h @ instance.prior_covariance @ h.T + noise_cov
-    factor = cholesky_lower(gram)  # raises with pivot context if not SPD
-    estimates = instance.prior_covariance @ h.T @ cho_solve((factor, True), readings, check_finite=False)
+    weights = 12.0 / bank.bin_widths**2
+    scaled = h * np.sqrt(weights)[:, None]
+    factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
+    estimates = cho_solve((factor, True), h.T @ (weights[:, None] * readings), check_finite=False)
 
     squared_errors = np.sum((estimates - states) ** 2, axis=0)
     empirical_mse = float(squared_errors.mean())

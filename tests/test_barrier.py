@@ -139,11 +139,11 @@ class TestConfigValidation:
         "kwargs",
         [
             {"mu_final": 2.0},
-            {"mu_decrease_factor": 1.0},
-            {"inner_gradient_tolerance": 0.0},
-            {"lbfgs_memory": 0},
+            {"mu_final": 0.0},
+            {"mu_final": -1e-9},
+            {"time_limit": -1.0},
             {"time_limit": 0.0},
-            {"max_inner_iterations": 0},
+            {"mu_final": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

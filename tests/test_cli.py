@@ -73,12 +73,16 @@ def test_bad_flag_exits_one():
 
 
 def test_solver_flag_only_on_solve(capsys):
-    # only solve reads the solver choice; elsewhere the flag is a usage error
-    for command in ("compare", "rounding-gap", "uniform-sweep", "sensor-scaling", "validate"):
+    # only solve reads the solver choice, and validate reads neither a trial
+    # count nor a time limit; a flag nothing reads is a usage error
+    commands = ("compare", "rounding-gap", "uniform-sweep", "sensor-scaling", "validate")
+    unread = [(command, "--solver", "fw") for command in commands]
+    unread += [("validate", "--trials", "5"), ("validate", "--time-limit", "1")]
+    for command, flag, value in unread:
         with pytest.raises(SystemExit) as exc_info:
-            main([command, "--solver", "fw"])
+            main([command, flag, value])
         assert exc_info.value.code == 1
-        assert "unrecognized arguments: --solver fw" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_one():

@@ -149,16 +149,6 @@ class TestSolve:
         with pytest.raises(DimensionMismatchError):
             solve_fw(inst, start=np.full(inst.m, inst.budget))
 
-    def test_lipschitz_override(self):
-        inst = random_instance(12, d=3, m=4)
-        loose = solve_fw(inst, FwConfig(max_iterations=25, step_rule=StepRule.SHORT_STEP))
-        tight = solve_fw(
-            inst,
-            FwConfig(max_iterations=25, step_rule=StepRule.SHORT_STEP, lipschitz_override=1.0),
-        )
-        # a smaller constant means larger steps, hence faster early descent
-        assert tight.final_objective < loose.final_objective
-
     def test_zero_budget(self):
         inst = ProblemInstance.with_identity_prior([[1.0]], [1.0], 0.0)
         trace = solve_fw(inst)
@@ -197,7 +187,6 @@ class TestConfigValidation:
             {"max_iterations": 0},
             {"gap_tolerance": 0.0},
             {"time_limit": -1.0},
-            {"lipschitz_override": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

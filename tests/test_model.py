@@ -87,9 +87,13 @@ class TestInstanceValidation:
         with pytest.raises(DimensionMismatchError):
             ProblemInstance([[1.0, 0.0]], np.ones((2, 3)), [1.0], 2.0)
 
-    def test_identity_flag_requires_identity(self):
-        with pytest.raises(DimensionMismatchError):
-            ProblemInstance([[1.0]], np.array([[2.0]]), [1.0], 2.0, identity_prior=True)
+    def test_explicit_identity_prior_matches_constructor(self):
+        rng = np.random.default_rng(3)
+        sensing, kappa = rng.standard_normal((7, 4)), rng.uniform(0.8, 1.2, size=7)
+        explicit = ProblemInstance(sensing, np.eye(4), kappa, 14.0)
+        unit = ProblemInstance.with_identity_prior(sensing, kappa, 14.0)
+        for name in ("prior_factor", "prior_inverse", "prior_spectral_norm", "prior_trace"):
+            np.testing.assert_array_equal(getattr(explicit, name), getattr(unit, name))
 
     def test_cached_spectral_norm(self, rng):
         inst = random_instance(1, d=6, m=9, identity_prior=False)

@@ -126,6 +126,16 @@ class TestSimulate:
         assert report.analytic_mse < 1e-5
         assert report.empirical_mse < 1e-4
 
+    def test_nearly_noiseless_channels(self):
+        # six 150-bit channels on a d = 3 state make the m x m measurement-space
+        # Gram H H' + D singular in floating point (its leading minor 4 fails)
+        inst = random_instance(30, d=3, m=12)
+        bits = np.concatenate([np.full(6, 150.0), np.zeros(6)])
+        bank = QuantizerBank.for_allocation(inst, bits, DitherMode.SUBTRACTIVE, seed=2)
+        report = simulate_lmmse(inst, bits, 2_000, bank)
+        assert report.analytic_mse < 1e-80
+        assert report.empirical_mse < 1e-25
+
     def test_sample_count_validated(self, setup):
         inst, bits = setup
         bank = QuantizerBank.for_allocation(inst, bits, DitherMode.SUBTRACTIVE, seed=1)
