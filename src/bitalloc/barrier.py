@@ -5,8 +5,12 @@ subproblems  F(b) - mu * sum(log b_i) - mu * log(B - sum b)  with mu driven
 down geometrically, from 1 by a factor of 10 per stage to the configured
 final value.  Each subproblem is minimized by L-BFGS (memory 10) with an
 Armijo backtracking line search and a fraction-to-boundary step cap, so every
-iterate stays strictly interior.  The schedule, the memory, the inner
-tolerance and the inner iteration and stall limits are module constants; only
+iterate stays strictly interior.  Within a stage, each backtrack starts at
+twice the last accepted step instead of at 1 (Nocedal & Wright, section 3.5):
+accepted steps are often orders of magnitude below 1, and restarting every
+search at 1 spent about 16 rejected trials, each a factorization, per
+accepted step.  The schedule, the memory, the inner tolerance, the step
+growth and the inner iteration and stall limits are module constants; only
 the final mu and the wall-clock limit are configurable.
 
 Two implementation choices matter for conditioning.  First, the seed matrix
@@ -53,6 +57,8 @@ _STALL_WINDOW = 60
 _ARMIJO_C1 = 1e-4
 _BOUNDARY_FRACTION = 0.995
 _MAX_BACKTRACKS = 60
+# First trial step of a backtrack, as a multiple of the stage's last accepted step.
+_STEP_GROWTH = 2.0
 _PAIR_SKIP = 1e-8
 # Residual level below which a failed line search is treated as the numerical
 # floor of double precision rather than an error.
@@ -242,6 +248,7 @@ def solve_barrier(
         history = [grad_norm]
         inner = 0
         window = 2 * _STALL_WINDOW if final_stage else _STALL_WINDOW
+        t_prev = math.inf  # no accepted step yet at this mu
         while grad_norm > tol and inner < _MAX_INNER_ITERATIONS:
             if clock() - t0 >= cfg.time_limit:
                 out_of_time = True
@@ -250,7 +257,7 @@ def solve_barrier(
                 break  # numerical progress exhausted at this mu
             p = sub.direction(b, grad)
             slack = budget - b.sum()
-            t = min(1.0, _fraction_to_boundary(b, p, slack))
+            t = min(_fraction_to_boundary(b, p, slack), _STEP_GROWTH * t_prev)
             directional = float(grad @ p)
             accepted = False
             for _ in range(_MAX_BACKTRACKS):

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .model import (
+    MAX_BITS,
     BitRangeError,
     BitVector,
     DimensionMismatchError,
@@ -99,6 +100,27 @@ def fw_gap(bits, gradient, budget: float) -> float:
 
 
 def _waterfill(levels: np.ndarray, budget: float) -> np.ndarray:
+    """min(MAX_BITS, max(0, levels + theta)) with theta chosen so the total meets the budget.
+
+    Box-constrained water-filling (Segall 1976): fill without the cap, pin
+    every coordinate that lands above it at MAX_BITS, and refill the others
+    with the budget that is left.  Pinning only raises the water level, so a
+    pinned coordinate never comes back under the cap.  A budget above
+    MAX_BITS per coordinate leaves every coordinate at the cap.
+    """
+    out = np.full(levels.size, MAX_BITS)
+    free = np.arange(levels.size)
+    while free.size:
+        fill = _waterfill_nonnegative(levels[free], budget - MAX_BITS * (levels.size - free.size))
+        over = fill > MAX_BITS
+        if not over.any():
+            out[free] = fill
+            break
+        free = free[~over]
+    return out
+
+
+def _waterfill_nonnegative(levels: np.ndarray, budget: float) -> np.ndarray:
     """max(0, levels + theta) with theta chosen so the total meets the budget."""
     order = np.argsort(-levels)
     sorted_levels = levels[order]
@@ -118,16 +140,17 @@ def separable_warm_start(instance: ProblemInstance) -> BitVector:
 
     Fits the bit-loading surrogate sum_i a_i 4**(-b_i) to the true gradient
     at the current point (a_i = |grad_i| * 4**b_i / ln 4), water-fills it in
-    closed form, and repeats with damping 1/2, at most 60 times.  A fixed
-    point equalizes gradient magnitudes over the support, which is exactly
-    first-order stationarity on the budget face, so this lands at or very
-    near a stationary point for a few dozen evaluations.  Weak sensors are
-    cut to exactly zero rather than drained asymptotically, which is what
-    makes it an effective start for the conditional-gradient solver.
+    closed form with each sensor capped at MAX_BITS, and repeats with damping
+    1/2, at most 60 times.  A fixed point equalizes gradient magnitudes over
+    the support, which is exactly first-order stationarity on the budget
+    face, so this lands at or very near a stationary point for a few dozen
+    evaluations.  Weak sensors are cut to exactly zero rather than drained
+    asymptotically, which is what makes it an effective start for the
+    conditional-gradient solver.
     """
     if instance.budget <= 0.0:
         return BitVector.zeros(instance.m)
-    bits = np.full(instance.m, instance.budget / instance.m)
+    bits = np.full(instance.m, min(instance.budget / instance.m, MAX_BITS))
     for _ in range(_WARM_START_REFINEMENTS):
         gradient = evaluate(instance, bits).gradient
         levels = bits + np.log(np.maximum(np.abs(gradient), 1e-300)) / np.log(4.0)

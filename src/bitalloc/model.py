@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 LN4 = math.log(4.0)
 
@@ -161,6 +162,8 @@ class ProblemInstance:
         cov = np.asarray(self.prior_covariance, dtype=float)
         if cov.shape != (d, d):
             raise DimensionMismatchError(f"prior covariance must be {d}x{d}, got shape {cov.shape}")
+        if not np.all(np.isfinite(cov)):
+            raise DimensionMismatchError("prior covariance has non-finite entries")
         if np.array_equal(cov, np.eye(d)):
             factor = np.eye(d)
             inverse = np.eye(d)
@@ -246,7 +249,11 @@ def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, 
     scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
     info = instance.prior_inverse + scaled.T @ scaled
     factor = cholesky_lower(info)
-    inv_factor = solve_triangular(factor, np.eye(instance.d), lower=True, check_finite=False)
+    # BLAS dtrsm rather than LAPACK dtrtrs: the same arithmetic, bit for bit,
+    # but OpenBLAS runs dtrtrs multi-threaded even at d=13, which keeps a BLAS
+    # worker spinning on a core the caller's own threads need.  The factor of a
+    # successful dpotrf has a positive diagonal, so there is no info to check.
+    inv_factor = dtrsm(1.0, factor, np.eye(instance.d), lower=1, overwrite_b=1)
     return rho, factor, float(np.sum(inv_factor * inv_factor))
 
 
@@ -266,7 +273,9 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     raise BitRangeError before they can overflow.
     """
     rho, factor, objective = _assemble(instance, bits)
-    cov_ht = cho_solve((factor, True), instance.sensing_matrix.T, check_finite=False)
+    cov_ht, status = dpotrs(factor, instance.sensing_matrix.T, lower=1)
+    if status != 0:
+        raise FactorizationError(f"Cholesky solve failed (info {status})")
     quad = np.einsum("ij,ij->j", cov_ht, cov_ht)
     gradient = -LN4 * rho * quad
     return Evaluation(objective=objective, gradient=gradient, precisions=rho, factor=factor)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from bitalloc import barrier as barrier_mod
+from bitalloc import barrier as barrier_mod, model as model_mod
 from bitalloc.barrier import BarrierConfig, BoundaryError, barrier_objective, solve_barrier
 from bitalloc.frank_wolfe import FwConfig, solve_fw
+from bitalloc.instances import InstanceKind, InstanceSpec, generate
 from bitalloc.model import ProblemInstance, evaluate
 from bitalloc.trace import Termination
 
@@ -93,6 +94,19 @@ class TestSolve:
         for bits in seen:
             assert bits.min() > 0.0
             assert bits.sum() < inst.budget
+
+    def test_factorization_budget(self, monkeypatch):
+        # each accepted step should cost a few factorizations, not a long run
+        # of rejected line-search trials (about 19 when every backtrack starts at 1)
+        calls = []
+        original = model_mod.cholesky_lower
+        monkeypatch.setattr(model_mod, "cholesky_lower", lambda a: calls.append(1) or original(a))
+        ratios = []
+        for seed in range(700, 710):
+            calls.clear()
+            trace, _ = solve_barrier(generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=seed)))
+            ratios.append(len(calls) / trace.iterations)
+        assert np.median(ratios) <= 4.0
 
     def test_agreement_with_conditional_gradient(self):
         # square case: the optimum is interior to the budget face, where the

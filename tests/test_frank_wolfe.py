@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from bitalloc import frank_wolfe as fw_mod
 from bitalloc.frank_wolfe import FwConfig, StepRule, fw_gap, lmo, separable_warm_start, solve_fw
-from bitalloc.model import BitVector, DimensionMismatchError, ProblemInstance
+from bitalloc.instances import InstanceKind, InstanceSpec, generate
+from bitalloc.model import MAX_BITS, BitVector, DimensionMismatchError, ProblemInstance
 from bitalloc.trace import Termination, write_trace
 
 from conftest import random_instance
@@ -173,6 +174,13 @@ class TestSeparableWarmStart:
     def test_zero_budget(self):
         inst = ProblemInstance.with_identity_prior([[1.0]], [1.0], 0.0)
         assert separable_warm_start(inst).total == 0.0
+
+    def test_levels_capped_at_max_bits(self):
+        # uncapped water-filling puts one sensor at 268 bits on this instance
+        inst = generate(InstanceSpec(InstanceKind.RANDOM_GAUSSIAN, d=8, m=20, seed=1, budget_per_sensor=150.0))
+        start = separable_warm_start(inst)
+        assert start.bits.max() <= MAX_BITS
+        assert start.total == pytest.approx(inst.budget, rel=1e-12)
 
     def test_feeds_solver(self):
         inst = random_instance(22, d=6, m=6)

@@ -87,6 +87,12 @@ class TestInstanceValidation:
         with pytest.raises(DimensionMismatchError):
             ProblemInstance([[1.0, 0.0]], np.ones((2, 3)), [1.0], 2.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_prior(self, bad):
+        # an infinite variance passes the Cholesky and would cache a NaN spectral norm
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            ProblemInstance(np.eye(2), [[bad, 0.0], [0.0, 1.0]], [1.0, 1.0], 2.0)
+
     def test_explicit_identity_prior_matches_constructor(self):
         rng = np.random.default_rng(3)
         sensing, kappa = rng.standard_normal((7, 4)), rng.uniform(0.8, 1.2, size=7)
