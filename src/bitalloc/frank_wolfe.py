@@ -78,11 +78,8 @@ def lmo(gradient, budget: float) -> BitVector:
     lowest index), or the zero vector when no coordinate is negative.
     """
     g = _gradient_array(gradient)
-    vertex = np.zeros(g.size)
-    i_star = int(np.argmin(g))
-    if g[i_star] < 0.0:
-        vertex[i_star] = budget
-    return BitVector(vertex)
+    origin = np.zeros(g.size)
+    return BitVector(_convex_step(origin, 1.0, _oracle(origin, g, budget)[0], budget))
 
 
 def fw_gap(bits, gradient, budget: float) -> float:
@@ -96,7 +93,13 @@ def fw_gap(bits, gradient, budget: float) -> float:
     arr = allocation_array(bits)
     if arr.shape != g.shape:
         raise DimensionMismatchError(f"allocation shape {arr.shape} does not match gradient shape {g.shape}")
-    return float(arr @ g - budget * min(0.0, float(g.min())))
+    return _oracle(arr, g, budget)[1]
+
+
+def _oracle(b: np.ndarray, g: np.ndarray, budget: float) -> tuple[int | None, float]:
+    """The oracle vertex's coordinate (None for the origin) and the gap <b - s, g>."""
+    i_star = int(np.argmin(g))
+    return (i_star if g[i_star] < 0.0 else None), float(b @ g - budget * min(0.0, g[i_star]))
 
 
 def _waterfill(levels: np.ndarray, budget: float) -> np.ndarray:
@@ -230,24 +233,17 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
     t0 = clock()
     ev: Evaluation = evaluate(instance, b)
     l_hat = 1.0
-    termination = Termination.MAX_ITERATIONS
     for t in range(cfg.max_iterations + 1):
-        g = ev.gradient
-        i_star = int(np.argmin(g))
-        vertex = i_star if g[i_star] < 0.0 else None
-        gap = float(b @ g - budget * min(0.0, g[i_star]))
+        vertex, gap = _oracle(b, ev.gradient, budget)
         elapsed = clock() - t0
-        if gap <= cfg.gap_tolerance:
+        termination = (
+            Termination.GAP_CONVERGED if gap <= cfg.gap_tolerance
+            else Termination.TIME_LIMIT if elapsed >= cfg.time_limit
+            else Termination.MAX_ITERATIONS if t == cfg.max_iterations
+            else None
+        )
+        if termination is not None:  # the last record takes no step
             records.append(IterationRecord(t, ev.objective, gap, 0.0, vertex, None, elapsed))
-            termination = Termination.GAP_CONVERGED
-            break
-        if elapsed >= cfg.time_limit:
-            records.append(IterationRecord(t, ev.objective, gap, 0.0, vertex, None, elapsed))
-            termination = Termination.TIME_LIMIT
-            break
-        if t == cfg.max_iterations:
-            records.append(IterationRecord(t, ev.objective, gap, 0.0, vertex, None, elapsed))
-            termination = Termination.MAX_ITERATIONS
             break
         if cfg.step_rule is StepRule.SHORT_STEP:
             gamma = min(gap / (2.0 * lip * budget * budget), 1.0) if budget > 0.0 else 0.0

@@ -234,8 +234,7 @@ def load_matrix(path) -> np.ndarray:
     ]
     if not data_lines:
         raise MatrixFormatError(f"{path}: no data lines")
-    first_no, first = data_lines[0]
-    tokens = first.split()
+    tokens = data_lines[0][1].split()
     if len(tokens) == 3 and all(_is_int(t) for t in tokens):
         return _parse_coordinate(data_lines, path)
     return _parse_dense(data_lines, path)
@@ -311,13 +310,12 @@ def save_matrix(path, matrix, fmt: str = "coordinate") -> None:
     out.write_text("\n".join(lines) + "\n")
 
 
-def save_results(path, records, fieldnames=None) -> None:
-    """Write mapping records as comma-delimited rows under a header line."""
+def save_results(path, records) -> None:
+    """Write mapping records as comma-delimited rows under the first record's keys."""
     records = list(records)
-    if fieldnames is None:
-        if not records:
-            raise ValueError("cannot infer a header from zero records")
-        fieldnames = list(records[0].keys())
+    if not records:
+        raise ValueError("cannot infer a header from zero records")
+    fieldnames = list(records[0].keys())
     with Path(path).open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()

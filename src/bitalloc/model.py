@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -77,6 +76,14 @@ def cholesky_lower(matrix: np.ndarray) -> np.ndarray:
     if info < 0:
         raise FactorizationError(f"invalid input to factorization (argument {-info})")
     return factor
+
+
+def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs from the lower Cholesky factor of A: the package's one SPD solve."""
+    solution, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise FactorizationError(f"Cholesky solve failed (info {info})")
+    return solution
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ class ProblemInstance:
                 raise DimensionMismatchError("prior covariance must be symmetric")
             cov = 0.5 * (cov + cov.T)
             factor = cholesky_lower(cov)  # SPD check happens here
-            inverse = cho_solve((factor, True), np.eye(d), check_finite=False)
+            inverse = cholesky_solve(factor, np.eye(d))
             inverse = 0.5 * (inverse + inverse.T)
             spectral = float(np.linalg.eigvalsh(cov)[-1])
             trace = float(np.trace(cov))
@@ -273,9 +280,7 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     raise BitRangeError before they can overflow.
     """
     rho, factor, objective = _assemble(instance, bits)
-    cov_ht, status = dpotrs(factor, instance.sensing_matrix.T, lower=1)
-    if status != 0:
-        raise FactorizationError(f"Cholesky solve failed (info {status})")
+    cov_ht = cholesky_solve(factor, instance.sensing_matrix.T)
     quad = np.einsum("ij,ij->j", cov_ht, cov_ht)
     gradient = -LN4 * rho * quad
     return Evaluation(objective=objective, gradient=gradient, precisions=rho, factor=factor)
@@ -311,7 +316,7 @@ def hessian_exact(instance: ProblemInstance, bits) -> np.ndarray:
     ev = evaluate(instance, bits)
     rho = ev.precisions
     h = instance.sensing_matrix
-    cov_ht = cho_solve((ev.factor, True), h.T, check_finite=False)  # C_eps H', d x m
+    cov_ht = cholesky_solve(ev.factor, h.T)  # C_eps H', d x m
     cross_cov = h @ cov_ht  # (i, j) -> h_i' C h_j
     cross_cov_sq = cov_ht.T @ cov_ht  # (i, j) -> h_i' C^2 h_j
     df_drho = -np.diag(cross_cov_sq).copy()

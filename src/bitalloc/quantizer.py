@@ -28,9 +28,9 @@ from .model import (
     ProblemInstance,
     allocation_array,
     cholesky_lower,
+    cholesky_solve,
     evaluate,
 )
-from scipy.linalg import cho_solve
 
 
 class DitherMode(Enum):
@@ -114,7 +114,7 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     weights = 12.0 / bank.bin_widths**2
     scaled = h * np.sqrt(weights)[:, None]
     factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
-    estimates = cho_solve((factor, True), h.T @ (weights[:, None] * readings), check_finite=False)
+    estimates = cholesky_solve(factor, h.T @ (weights[:, None] * readings))
 
     squared_errors = np.sum((estimates - states) ** 2, axis=0)
     empirical_mse = float(squared_errors.mean())

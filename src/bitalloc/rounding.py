@@ -116,7 +116,7 @@ def verify_nearest_point(b_bar, rounded: BitVector) -> bool:
     return achieved <= best + 1e-12
 
 
-def rounding_gap_bound(instance: ProblemInstance, b_bar, lipschitz: float | None = None) -> tuple[float, float]:
+def rounding_gap_bound(instance: ProblemInstance, b_bar) -> tuple[float, float]:
     """Objective-increase bound L/2 * sum r(1-r), and the coarser L/2 * min(R, m/4).
 
     R is the number of coordinates :func:`round_largest_remainder` rounds up.
@@ -124,7 +124,7 @@ def rounding_gap_bound(instance: ProblemInstance, b_bar, lipschitz: float | None
     arr = _continuous_array(b_bar)
     if arr.size != instance.m:
         raise DimensionMismatchError(f"allocation must have length {instance.m}")
-    lip = lipschitz_constant(instance) if lipschitz is None else lipschitz
+    lip = lipschitz_constant(instance)
     floors = np.floor(arr)
     remainders = arr - floors
     bound = 0.5 * lip * float(np.sum(remainders * (1.0 - remainders)))
@@ -132,10 +132,10 @@ def rounding_gap_bound(instance: ProblemInstance, b_bar, lipschitz: float | None
     return bound, simplified
 
 
-def round_with_guarantees(instance: ProblemInstance, b_bar, lipschitz: float | None = None) -> RoundingReport:
+def round_with_guarantees(instance: ProblemInstance, b_bar) -> RoundingReport:
     """Full rounding report: geometry, objective gap, and its bounds."""
     report = round_largest_remainder(b_bar, instance.budget)
-    gap_bound, simplified = rounding_gap_bound(instance, b_bar, lipschitz)
+    gap_bound, simplified = rounding_gap_bound(instance, b_bar)
     objective_before = evaluate(instance, b_bar).objective
     objective_after = evaluate(instance, report.rounded_bits).objective
     return replace(

@@ -202,3 +202,8 @@ class TestPlanValidation:
             ExperimentPlan(
                 experiment=Experiment.UNIFORM_SWEEP, instance_spec=SMALL_GRID, sweep_values=()
             )
+
+    def test_sensor_scaling_rejects_other_kinds(self):
+        # the sweep sets m = ratio * d, which only a Gaussian spec can take
+        with pytest.raises(ValueError, match="random-gaussian"):
+            ExperimentPlan(experiment=Experiment.SENSOR_SCALING, instance_spec=SMALL_GRID)

@@ -117,33 +117,28 @@ class TestNearestPoint:
 
 class TestGapBounds:
     def test_arithmetic_example(self):
+        # (m, budget per sensor, b_bar, sum r(1 - r), min(R, m/4)); both bounds are L/2 times these
         cases = [
             # remainders 0.7, 0.2, 0.1; one coordinate rounds up
             (3, 1.0, [0.7, 1.2, 1.1], 0.46, 0.75),
             # B = 26.6 is not integral: two coordinates round up, not round(2.6) = 3
             (12, 26.6 / 12, [2.65] * 4 + [2.0] * 8, 4 * 0.65 * 0.35, 2.0),
         ]
-        for m, per_sensor, b_bar, expected_bound, expected_simplified in cases:
+        for m, per_sensor, b_bar, spread, round_ups in cases:
             inst = random_instance(0, d=3, m=m, budget_per_sensor=per_sensor)
-            bound, simplified = rounding_gap_bound(inst, np.array(b_bar), lipschitz=2.0)
-            assert bound == pytest.approx(expected_bound, rel=1e-12)
-            assert simplified == pytest.approx(expected_simplified, rel=1e-12)
+            half_lip = 0.5 * lipschitz_constant(inst)
+            bound, simplified = rounding_gap_bound(inst, np.array(b_bar))
+            assert bound == pytest.approx(half_lip * spread, rel=1e-12)
+            assert simplified == pytest.approx(half_lip * round_ups, rel=1e-12)
             assert simplified >= bound
-            report = round_with_guarantees(inst, np.array(b_bar), lipschitz=2.0)
+            report = round_with_guarantees(inst, np.array(b_bar))
             assert (report.gap_bound, report.simplified_gap_bound) == (bound, simplified)
 
     def test_integral_input_gives_zero(self):
         inst = random_instance(1, d=3, m=3, budget_per_sensor=2.0)
-        bound, simplified = rounding_gap_bound(inst, np.array([2.0, 2.0, 2.0]), lipschitz=5.0)
+        bound, simplified = rounding_gap_bound(inst, np.array([2.0, 2.0, 2.0]))
         assert bound == 0.0
         assert simplified == 0.0
-
-    def test_defaults_to_instance_constant(self):
-        inst = random_instance(2, d=4, m=6)
-        b_bar = np.full(inst.m, inst.budget / inst.m)
-        bound, _ = rounding_gap_bound(inst, b_bar)
-        explicit, _ = rounding_gap_bound(inst, b_bar, lipschitz=lipschitz_constant(inst))
-        assert bound == explicit
 
     def test_gap_bound_holds_at_kkt_points(self):
         for seed in range(3):
