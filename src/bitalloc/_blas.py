@@ -1,0 +1,79 @@
+"""Run OpenBLAS on one thread for the duration of a scope.
+
+numpy and scipy wheels each bundle their own OpenBLAS, and both default to
+one worker thread per core.  At the sizes this package solves (d up to a few
+hundred) every factorization and triangular call is too small to split: a
+second thread doubles the CPU time, and when another process holds a core
+the hand-off makes a call up to a hundred times slower.  The solvers and the
+harness therefore run inside :func:`single_blas_thread`, which sets both
+libraries to one thread through their exported setters.  The thread count is
+process-wide, so a depth count shared by all Python threads keeps it at one
+until the outermost scope exits and restores the saved counts.  Without the
+bundled libraries (another BLAS build) the scope does nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy
+import scipy
+
+# (package, file-name pattern of its bundled OpenBLAS, suffix of the exported symbols)
+_LIBRARIES = (
+    (numpy, "libscipy_openblas64_*", "64_"),
+    (scipy, "libscipy_openblas-*", ""),
+)
+
+
+@functools.cache
+def _controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS that can be loaded."""
+    controls = []
+    for package, pattern, suffix in _LIBRARIES:
+        # Linux and Windows wheels keep their bundled libraries in <package>.libs beside the package
+        directory = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(directory.glob(pattern)):
+            try:
+                library = ctypes.CDLL(str(path))
+                get_count = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+                set_count = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get_count.argtypes, get_count.restype = [], ctypes.c_int
+            set_count.argtypes, set_count.restype = [ctypes.c_int], None
+            controls.append((get_count, set_count))
+            break
+    return tuple(controls)
+
+
+_lock = threading.Lock()
+_depth = 0
+_saved: list = []  # (setter, count) of each library, taken when the outermost scope entered
+
+
+@contextmanager
+def single_blas_thread():
+    """Both bundled OpenBLAS libraries run on one thread until the outermost scope exits.
+
+    Also a decorator: ``@single_blas_thread()``.
+    """
+    global _depth, _saved
+    with _lock:
+        if _depth == 0:
+            _saved = [(set_count, get_count()) for get_count, set_count in _controls()]
+            for set_count, _ in _saved:
+                set_count(1)
+        _depth += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                for set_count, count in _saved:
+                    set_count(count)

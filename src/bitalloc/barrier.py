@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .model import (
     BitAllocationError,
     BitRangeError,
@@ -206,6 +207,7 @@ def _fraction_to_boundary(b, p, slack):
     return t_max
 
 
+@single_blas_thread()
 def solve_barrier(
     instance: ProblemInstance, config: BarrierConfig | None = None, start=None
 ) -> tuple[SolveTrace, KktCertificate]:

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .barrier import BarrierConfig, solve_barrier
 from .frank_wolfe import FwConfig, StepRule, separable_warm_start, solve_fw
 from .instances import InstanceKind, InstanceSpec, generate, save_results, trial_spec, uniform_allocation
@@ -116,6 +117,7 @@ def _run_tasks(tasks, worker, threads: int):
         return list(pool.map(worker, tasks))
 
 
+@single_blas_thread()
 def run(plan: ExperimentPlan) -> RunResult:
     """Run every task of the plan's experiment through its trial, then aggregate."""
     fields, tasks, trial, aggregate = _TABLES[plan.experiment]

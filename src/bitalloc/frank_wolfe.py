@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .model import (
     MAX_BITS,
     BitRangeError,
@@ -138,6 +139,7 @@ def _waterfill_nonnegative(levels: np.ndarray, budget: float) -> np.ndarray:
     return out
 
 
+@single_blas_thread()
 def separable_warm_start(instance: ProblemInstance) -> BitVector:
     """Water-filling start from successively refitted separable models.
 
@@ -208,6 +210,7 @@ def _evaluate_or_none(instance, bits):
         return None
 
 
+@single_blas_thread()
 def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=None) -> SolveTrace:
     """Run the conditional-gradient method from the origin or a warm start.
 

@@ -9,9 +9,12 @@ state estimate, to be driven down subject to a total bit budget.
 This module owns the instance container and the evaluation kernel: objective
 value, analytic gradient, a global Lipschitz constant for the gradient, and a
 dense Hessian kept around for validation.  One call to :func:`evaluate` costs
-exactly one Cholesky factorization of the d x d information matrix; all
-factorizations are routed through :func:`cholesky_lower` so tests can count
-or sabotage them.
+exactly one Cholesky factorization of the d x d information matrix, whose
+triangular inverse from LAPACK ``dtrtri`` gives both the objective and the
+gradient; all factorizations are routed through :func:`cholesky_lower` so
+tests can count or sabotage them.  The kernel does not pin BLAS threads
+itself: its callers, the solvers, run inside
+:func:`~bitalloc._blas.single_blas_thread`.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 LN4 = math.log(4.0)
 
@@ -184,7 +186,10 @@ class ProblemInstance:
             factor = cholesky_lower(cov)  # SPD check happens here
             inverse = cholesky_solve(factor, np.eye(d))
             inverse = 0.5 * (inverse + inverse.T)
-            spectral = float(np.linalg.eigvalsh(cov)[-1])
+            try:
+                spectral = float(np.linalg.eigvalsh(cov)[-1])
+            except np.linalg.LinAlgError as exc:
+                raise FactorizationError(f"prior covariance eigensolve did not converge: {exc}") from exc
             trace = float(np.trace(cov))
 
         object.__setattr__(self, "sensing_matrix", h)
@@ -250,18 +255,16 @@ def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
     return instance.kappa * 4.0 ** arr
 
 
-def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, float]:
-    """Precisions, information-matrix Cholesky factor and objective: one factorization."""
+def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Precisions, information-matrix Cholesky factor, its inverse and the objective: one factorization."""
     rho = precision_from_bits(instance, bits)
     scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
     info = instance.prior_inverse + scaled.T @ scaled
     factor = cholesky_lower(info)
-    # BLAS dtrsm rather than LAPACK dtrtrs: the same arithmetic, bit for bit,
-    # but OpenBLAS runs dtrtrs multi-threaded even at d=13, which keeps a BLAS
-    # worker spinning on a core the caller's own threads need.  The factor of a
-    # successful dpotrf has a positive diagonal, so there is no info to check.
-    inv_factor = dtrsm(1.0, factor, np.eye(instance.d), lower=1, overwrite_b=1)
-    return rho, factor, float(np.sum(inv_factor * inv_factor))
+    inv_factor, status = dtrtri(factor, lower=1)
+    if status != 0:
+        raise FactorizationError(f"triangular inverse failed (info {status})")
+    return rho, factor, inv_factor, float(np.sum(inv_factor * inv_factor))
 
 
 def evaluate(instance: ProblemInstance, bits) -> Evaluation:
@@ -269,19 +272,20 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
 
     The information matrix is assembled as a symmetric rank-k update of the
     prior inverse with the sensing matrix scaled rowwise by sqrt(precision).
-    The trace of its inverse comes from triangular solves against the
-    identity, and each gradient component is the squared column norm of
-    (error covariance) @ (sensing row), scaled by -ln(4) * precision.  The
-    m x m product of sensing rows is never formed; the cost is
-    O(d^3 + d^2 m).
+    LAPACK ``dtrtri`` inverts its Cholesky factor L; the objective, the trace
+    of the error covariance C = L^-T L^-1, is the squared Frobenius norm of
+    that inverse.  The gradient comes from one product with the explicit
+    inverse: row i of H C is (C h_i)', and each gradient component is its
+    squared norm scaled by -ln(4) * precision.  The m x m product of sensing
+    rows is never formed; the cost is O(d^3 + d^2 m).
 
     Accepts a BitVector or any length-m array.  Negative components are
     allowed (the objective is defined on all of R^m); values above MAX_BITS
     raise BitRangeError before they can overflow.
     """
-    rho, factor, objective = _assemble(instance, bits)
-    cov_ht = cholesky_solve(factor, instance.sensing_matrix.T)
-    quad = np.einsum("ij,ij->j", cov_ht, cov_ht)
+    rho, factor, inv_factor, objective = _assemble(instance, bits)
+    cov_h = instance.sensing_matrix @ (inv_factor.T @ inv_factor)
+    quad = np.einsum("ij,ij->i", cov_h, cov_h)
     gradient = -LN4 * rho * quad
     return Evaluation(objective=objective, gradient=gradient, precisions=rho, factor=factor)
 
@@ -292,7 +296,7 @@ def objective_value(instance: ProblemInstance, bits) -> float:
     Same single-factorization cost structure as :func:`evaluate`; used by
     line searches that probe many trial points before committing to one.
     """
-    return _assemble(instance, bits)[2]
+    return _assemble(instance, bits)[3]
 
 
 def lipschitz_constant(instance: ProblemInstance) -> float:

@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .model import (
     DimensionMismatchError,
     ProblemInstance,
@@ -85,6 +86,7 @@ def quantize(value, bin_width, dither, mode: DitherMode):
     return level
 
 
+@single_blas_thread()
 def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: QuantizerBank) -> MonteCarloReport:
     """Monte-Carlo MSE of the linear MMSE estimator fed by quantized readings.
 

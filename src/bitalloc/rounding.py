@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .model import (
     BitAllocationError,
     BitVector,
@@ -132,6 +133,7 @@ def rounding_gap_bound(instance: ProblemInstance, b_bar) -> tuple[float, float]:
     return bound, simplified
 
 
+@single_blas_thread()
 def round_with_guarantees(instance: ProblemInstance, b_bar) -> RoundingReport:
     """Full rounding report: geometry, objective gap, and its bounds."""
     report = round_largest_remainder(b_bar, instance.budget)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.linalg import cho_solve, solve_triangular
+
 from bitalloc import model
+from bitalloc.instances import InstanceKind, InstanceSpec, generate
 from bitalloc.model import (
     BitRangeError,
     BitVector,
@@ -92,6 +95,14 @@ class TestInstanceValidation:
         # an infinite variance passes the Cholesky and would cache a NaN spectral norm
         with pytest.raises(DimensionMismatchError, match="non-finite"):
             ProblemInstance(np.eye(2), [[bad, 0.0], [0.0, 1.0]], [1.0, 1.0], 2.0)
+
+    def test_eigensolve_failure_is_factorization_error(self, monkeypatch):
+        def no_convergence(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(FactorizationError, match="eigensolve"):
+            ProblemInstance(np.eye(2), [[2.0, 0.5], [0.5, 1.0]], [1.0, 1.0], 2.0)
 
     def test_explicit_identity_prior_matches_constructor(self):
         rng = np.random.default_rng(3)
@@ -203,6 +214,45 @@ class TestEvaluate:
     def test_accepts_bitvector(self):
         ev = evaluate(one_by_one(), BitVector(np.array([1.0])))
         assert ev.objective == pytest.approx(0.2, rel=1e-14)
+
+
+def _reference_evaluation(instance, bits):
+    """Objective from a triangular solve against the identity, gradient from an SPD solve per sensor."""
+    rho = precision_from_bits(instance, bits)
+    scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
+    factor = model.cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
+    inv_factor = solve_triangular(factor, np.eye(instance.d), lower=True)
+    cov_ht = cho_solve((factor, True), instance.sensing_matrix.T)
+    return float(np.sum(inv_factor * inv_factor)), -LN4 * rho * np.einsum("ij,ij->j", cov_ht, cov_ht)
+
+
+def _kappa_spread_instance():
+    rng = np.random.default_rng(8)
+    return ProblemInstance.with_identity_prior(rng.standard_normal((20, 8)), 10.0 ** rng.uniform(-6, 6, 20), 40.0)
+
+
+KERNEL_INSTANCES = {
+    "grid-13": lambda: generate(InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=13, seed=1)),
+    "grid-50": lambda: generate(InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=50, seed=1)),
+    "gaussian-50x1000": lambda: generate(
+        InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=50, m=1000, seed=1, budget_per_sensor=0.1)
+    ),
+    "kappa-spread": _kappa_spread_instance,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+def test_kernel_matches_solve_formulas(name):
+    """The dtrtri-inverse kernel against the triangular- and SPD-solve formulas, same factor."""
+    inst = KERNEL_INSTANCES[name]()
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        bits = random_feasible_bits(rng, inst)
+        objective, gradient = _reference_evaluation(inst, bits)
+        ev = evaluate(inst, bits)
+        assert ev.objective == pytest.approx(objective, rel=1e-14)
+        assert objective_value(inst, bits) == ev.objective
+        np.testing.assert_allclose(ev.gradient, gradient, rtol=1e-12)
 
 
 class TestLipschitzConstant:
