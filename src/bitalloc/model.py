@@ -13,7 +13,7 @@ exactly one Cholesky factorization of the d x d information matrix, whose
 triangular inverse from LAPACK ``dtrtri`` gives both the objective and the
 gradient; all factorizations are routed through :func:`cholesky_lower` so
 tests can count or sabotage them.  The kernel does not pin BLAS threads
-itself: its callers, the solvers, run inside
+itself: its callers, the solvers and :func:`hessian_exact`, run inside
 :func:`~bitalloc._blas.single_blas_thread`.
 """
 
@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+
+from ._blas import single_blas_thread
 
 LN4 = math.log(4.0)
 
@@ -307,6 +309,7 @@ def lipschitz_constant(instance: ProblemInstance) -> float:
     return LN4 * LN4 * instance.prior_spectral_norm * (2 * instance.m + 1)
 
 
+@single_blas_thread()
 def hessian_exact(instance: ProblemInstance, bits) -> np.ndarray:
     """Dense Hessian of the objective in bit space.
 

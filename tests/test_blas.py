@@ -98,6 +98,7 @@ ENTRY_POINTS = {
     "separable_warm_start": lambda: separable_warm_start(GRID),
     "round_with_guarantees": lambda: round_with_guarantees(GRID, GRID_BITS),
     "simulate_lmmse": lambda: simulate_lmmse(GRID, np.floor(GRID_BITS), 200, BANK),
+    "hessian_exact": lambda: model.hessian_exact(GRID, GRID_BITS),
     # the sweep's uniform baseline is evaluated by the harness itself, outside any solver
     "experiments.run": lambda: run(SWEEP_PLAN),
 }

@@ -1,8 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitalloc.model import DimensionMismatchError, ProblemInstance, evaluate
+from bitalloc import quantizer
+from bitalloc._blas import single_blas_thread
+from bitalloc.model import (
+    MAX_BITS,
+    BitRangeError,
+    DimensionMismatchError,
+    ProblemInstance,
+    cholesky_lower,
+    cholesky_solve,
+    evaluate,
+)
 from bitalloc.quantizer import DitherMode, MonteCarloReport, QuantizerBank, quantize, simulate_lmmse
 
 from conftest import random_instance
@@ -147,3 +159,72 @@ class TestSimulate:
         bank = QuantizerBank(np.ones(2), DitherMode.SUBTRACTIVE, 1)
         with pytest.raises(DimensionMismatchError):
             simulate_lmmse(inst, bits, 10, bank)
+
+
+@single_blas_thread()
+def unblocked_reference(instance, sample_count, bank):
+    """The simulation as one (m, n) draw: error mean and se per channel, MSE and its se."""
+    rng = np.random.default_rng(bank.rng_seed)
+    h = instance.sensing_matrix
+    states = instance.prior_factor @ rng.standard_normal((instance.d, sample_count))
+    clean = h @ states
+    widths = bank.bin_widths[:, None]
+    dither = rng.uniform(-0.5, 0.5, size=clean.shape) * widths
+    readings = quantize(clean, widths, dither, bank.dither_mode)
+    weights = 12.0 / bank.bin_widths**2
+    scaled = h * np.sqrt(weights)[:, None]
+    factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
+    estimates = cholesky_solve(factor, h.T @ (weights[:, None] * readings))
+    squared_errors = np.sum((estimates - states) ** 2, axis=0)
+    channel_errors = readings - clean
+    return (
+        channel_errors.mean(axis=1),
+        channel_errors.std(axis=1, ddof=1) / np.sqrt(sample_count),
+        squared_errors.mean(),
+        squared_errors.std(ddof=1) / np.sqrt(sample_count),
+    )
+
+
+class TestChannelBlocks:
+    """More channels than one block: the blocked simulation against an unblocked one."""
+
+    # four full blocks and a lone last row, which joins the fourth
+    INSTANCE = random_instance(41, d=5, m=257)
+    BITS = np.full(257, 2.0)
+
+    @pytest.mark.parametrize("mode", list(DitherMode))
+    def test_matches_unblocked_reference(self, mode):
+        bank = QuantizerBank.for_allocation(self.INSTANCE, self.BITS, mode, seed=17)
+        report = simulate_lmmse(self.INSTANCE, self.BITS, 2_000, bank)
+        error_mean, error_se, mse, mse_se = unblocked_reference(self.INSTANCE, 2_000, bank)
+        np.testing.assert_array_equal(report.empirical_error_mean, error_mean)
+        np.testing.assert_array_equal(report.empirical_error_se, error_se)
+        assert report.analytic_mse == evaluate(self.INSTANCE, self.BITS).objective
+        assert report.empirical_mse == pytest.approx(mse, rel=1e-12)
+        assert report.standard_error == pytest.approx(mse_se, rel=1e-12)
+
+    def test_peak_memory_below_quarter_of_one_channel_array(self):
+        d, m, n = 5, 2_000, 5_000
+        instance = random_instance(42, d=d, m=m)
+        bits = np.full(m, 2.0)
+        bank = QuantizerBank.for_allocation(instance, bits, DitherMode.SUBTRACTIVE, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_lmmse(instance, bits, n, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n / 4
+
+    @pytest.mark.parametrize(
+        "bad_bits, error",
+        [(np.full(256, 2.0), DimensionMismatchError), (np.full(257, MAX_BITS + 1.0), BitRangeError)],
+        ids=["length", "range"],
+    )
+    def test_bad_allocation_raises_before_sampling(self, bad_bits, error, monkeypatch):
+        factored = []
+        monkeypatch.setattr(quantizer, "cholesky_lower", lambda matrix: factored.append(matrix))
+        bank = QuantizerBank.for_allocation(self.INSTANCE, self.BITS, DitherMode.SUBTRACTIVE, seed=1)
+        with pytest.raises(error):
+            simulate_lmmse(self.INSTANCE, bad_bits, 50_000, bank)
+        assert factored == []
