@@ -9,7 +9,6 @@ answer to integers with a certified quality gap.
 from .barrier import BarrierConfig, BoundaryError, KktCertificate, LineSearchError, barrier_objective, solve_barrier
 from .frank_wolfe import FwConfig, StepRule, fw_gap, lmo, separable_warm_start, solve_fw
 from .instances import (
-    GenerationError,
     InstanceKind,
     InstanceSpec,
     KappaRange,
@@ -62,7 +61,6 @@ __all__ = [
     "FactorizationError",
     "FwConfig",
     "GapCertificate",
-    "GenerationError",
     "InstanceKind",
     "InstanceSpec",
     "IterationRecord",

@@ -1,10 +1,13 @@
 """Instance generation and file I/O.
 
 Three instance families: dense Gaussian sensing matrices for sensor-rich
-sweeps, synthetic grounded Laplacians of random connected graphs standing in
-for grid susceptance matrices, and matrices loaded from files.  Generation is
-deterministic in the spec (seed included): the same spec produces the same
-bytes.
+sweeps, synthetic grounded Laplacians standing in for grid susceptance
+matrices, and matrices loaded from files.  A synthetic grid is a uniform
+random spanning tree plus random extra edges, 1.5 edges per node in all, so
+it is connected by construction and has average degree about three, near the
+2.7 that Wang, Scaglione & Thomas (IEEE Trans. Smart Grid, 2010) report for
+the IEEE cases.  Generation is deterministic in the spec (seed included): the
+same spec produces the same bytes.
 
 Matrix files come in two text formats: a coordinate form (optional
 %-comment lines, a "rows cols nnz" header, then 1-based "row col value"
@@ -25,8 +28,6 @@ import numpy as np
 
 from .model import BitAllocationError, BitVector, DimensionMismatchError, ProblemInstance
 
-_CONNECTIVITY_RETRIES = 100
-
 
 class MatrixFormatError(BitAllocationError):
     """Malformed matrix or config file; carries the offending line number."""
@@ -34,10 +35,6 @@ class MatrixFormatError(BitAllocationError):
     def __init__(self, message: str, line_number: int | None = None):
         super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-class GenerationError(BitAllocationError):
-    """Random generation failed its own validity checks (e.g. connectivity)."""
 
 
 class InstanceKind(Enum):
@@ -99,27 +96,35 @@ def load_spec(path) -> InstanceSpec:
 
 
 def spec_from_dict(payload: dict) -> InstanceSpec:
-    if "kind" not in payload:
-        raise MatrixFormatError("config missing required key 'kind'")
+    if not isinstance(payload, dict) or "kind" not in payload:
+        raise MatrixFormatError("config must be a JSON object with the key 'kind'")
     try:
         kind = InstanceKind(payload["kind"])
     except ValueError:
         valid = ", ".join(k.value for k in InstanceKind)
         raise MatrixFormatError(f"unknown kind {payload['kind']!r}; expected one of: {valid}")
-    kappa_raw = payload.get("kappa", {})
-    kappa = KappaRange(low=float(kappa_raw.get("low", 0.8)), high=float(kappa_raw.get("high", 1.2)))
+    kappa, paths = payload.get("kappa", {}), payload.get("paths", {})
+    if not (isinstance(kappa, dict) and isinstance(paths, dict) and all(isinstance(p, str) for p in paths.values())):
+        raise MatrixFormatError("kappa must be a JSON object, and paths an object of file names")
     try:
         return InstanceSpec(
             kind=kind,
-            d=int(payload["d"]) if payload.get("d") is not None else None,
-            m=int(payload["m"]) if payload.get("m") is not None else None,
-            kappa=kappa,
+            d=_integer(payload, "d"),
+            m=_integer(payload, "m"),
+            kappa=KappaRange(low=float(kappa.get("low", 0.8)), high=float(kappa.get("high", 1.2))),
             budget_per_sensor=float(payload.get("budget_per_sensor", 2.0)),
-            seed=int(payload.get("seed", 0)),
-            paths=payload.get("paths"),
+            seed=_integer(payload, "seed") or 0,
+            paths=paths or None,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"invalid instance config: {exc}")
+
+
+def _integer(payload: dict, key: str) -> int | None:
+    value = payload.get(key)  # type(), not isinstance(): JSON true parses to a bool, which Python counts as an int
+    if value is not None and not (type(value) is int or type(value) is float and value.is_integer()):
+        raise MatrixFormatError(f"{key} must be an integer, got {value!r}")
+    return None if value is None else int(value)
 
 
 def kappa_from_dynamic_range(dynamic_range) -> np.ndarray:
@@ -130,41 +135,34 @@ def kappa_from_dynamic_range(dynamic_range) -> np.ndarray:
     return 12.0 / r**2
 
 
-def _connected_edges(rng, n_nodes: int, n_edges: int):
-    pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
-    for _ in range(_CONNECTIVITY_RETRIES):
-        chosen = rng.choice(len(pairs), size=n_edges, replace=False)
-        parent = list(range(n_nodes))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in chosen:
-            i, j = pairs[k]
-            parent[find(i)] = find(j)
-        if len({find(i) for i in range(n_nodes)}) == 1:
-            return [pairs[k] for k in chosen]
-    raise GenerationError(
-        f"no connected graph on {n_nodes} nodes with {n_edges} edges after {_CONNECTIVITY_RETRIES} attempts"
-    )
+def _connected_edges(rng, n_nodes: int, n_edges: int) -> list[tuple[int, int]]:
+    # Aldous-Broder: a walk on the complete graph that keeps the edge by which
+    # it first reaches each node draws a uniform spanning tree.
+    edges, visited, node = set(), {0}, 0
+    while len(visited) < n_nodes:
+        step = int(rng.integers(n_nodes - 1))
+        nxt = step + (step >= node)  # uniform over the other nodes
+        if nxt not in visited:
+            visited.add(nxt)
+            edges.add((min(node, nxt), max(node, nxt)))
+        node = nxt
+    while len(edges) < n_edges:
+        edges.add(tuple(sorted(rng.choice(n_nodes, size=2, replace=False).tolist())))
+    return sorted(edges)
 
 
 def _grid_laplacian(rng, d: int) -> np.ndarray:
     """Grounded Laplacian of a random connected graph on d+1 nodes.
 
-    Average degree about three; edge weights log-uniform on [0.1, 10], the
-    order-of-magnitude spread real line susceptances show, which is what
-    makes some sensors far more informative than others.  The first node
-    plays the slack role and its row/column are removed, leaving a
-    diagonally dominant SPD matrix.
+    A uniform random spanning tree plus random extra edges, 1.5 per node in
+    all (or the complete graph, if smaller): average degree about three.
+    Edge weights are log-uniform on [0.1, 10], the order-of-magnitude spread
+    real line susceptances show, which is what makes some sensors far more
+    informative than others.  The first node plays the slack role and its
+    row/column are removed, leaving a diagonally dominant SPD matrix.
     """
     n = d + 1
-    max_edges = n * (n - 1) // 2
-    n_edges = min(max_edges, max(n - 1, round(1.5 * n)))
-    edges = _connected_edges(rng, n, n_edges)
+    edges = _connected_edges(rng, n, min(n * (n - 1) // 2, round(1.5 * n)))
     weights = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=len(edges)))
     lap = np.zeros((n, n))
     for (i, j), w in zip(edges, weights):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from bitalloc.cli import main
 from bitalloc.instances import (
-    GenerationError,
     InstanceKind,
     InstanceSpec,
     KappaRange,
@@ -43,6 +43,18 @@ class TestGridLaplacian:
         inst = generate(grid_spec(d=7))
         assert inst.m == inst.d == 7
         assert inst.budget == 14.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 117, 299, 499])
+    def test_connected_in_one_pass_at_every_size(self, d):
+        # for d <= 3 the edge target is the complete graph
+        n = d + 1
+        n_edges = min(n * (n - 1) // 2, round(1.5 * n))
+        for seed in range(20):
+            h = generate(grid_spec(d=d, seed=seed)).sensing_matrix
+            cholesky_lower(h)  # the grounded Laplacian is SPD exactly when the graph is connected
+            to_slack = h.sum(axis=1) > 0.05  # an edge to the slack node adds its weight, >= 0.1, to the row sum
+            assert np.count_nonzero(np.triu(h, 1)) + np.count_nonzero(to_slack) == n_edges
+            np.testing.assert_array_equal(h, generate(grid_spec(d=d, seed=seed)).sensing_matrix)
 
     def test_m_forced_to_d(self):
         spec = InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=5)
@@ -244,6 +256,36 @@ class TestSpecConfig:
         path.write_text("{\n  broken\n}")
         with pytest.raises(MatrixFormatError, match="line 2"):
             load_spec(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            5,
+            {"kind": "grid-laplacian", "d": 5, "kappa": 5},
+            {"kind": "grid-laplacian", "d": 5, "kappa": []},
+            {"kind": "grid-laplacian", "d": 5, "kappa": {"low": 2.0, "high": 1.0}},
+            {"kind": "grid-laplacian", "d": 5, "kappa": {"low": "low"}},
+            {"kind": "grid-laplacian", "d": 5.7},
+            {"kind": "random-gaussian", "d": 5, "m": 2.5},
+            {"kind": "grid-laplacian", "d": 5, "seed": 1.5},
+            {"kind": "grid-laplacian", "d": 5, "seed": True},
+            {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": [2.0]},
+            {"kind": "from-files", "paths": ["sensing_matrix"]},
+            {"kind": "from-files", "paths": {"sensing_matrix": 5}},
+        ],
+    )
+    def test_malformed_config_is_plan_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MatrixFormatError):
+            load_spec(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "plan error" in capsys.readouterr().err
+
+    def test_integral_float_sizes_accepted(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "random-gaussian", "d": 5.0, "m": 7.0}))
+        assert (load_spec(path).d, load_spec(path).m) == (5, 7)
 
     def test_kappa_range_validation(self):
         with pytest.raises(ValueError):
