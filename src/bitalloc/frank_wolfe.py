@@ -1,16 +1,29 @@
 """Conditional-gradient (Frank-Wolfe) solver for the relaxed allocation.
 
-The feasible set {b >= 0, sum(b) <= B} is a simplex scaled by the budget, so
-the linear minimization oracle is closed form: the best vertex is either the
-origin or B times the coordinate with the most negative gradient entry.  The
-stationarity gap <b - s, grad> is therefore free once the gradient is known,
-and doubles as the convergence certificate.
+The feasible set {b >= 0, sum(b) <= B} is a simplex scaled by the budget,
+with vertices 0 and B*e_i, so the linear minimization oracle is closed form:
+the best vertex is either the origin or B times the coordinate with the most
+negative gradient entry.  The stationarity gap <b - s, grad> is therefore
+free once the gradient is known, and doubles as the convergence certificate.
 
-Two step rules are provided.  The short step gap/(2*L*B^2) uses the global
-Lipschitz constant and is extremely conservative on real instances; the
-adaptive rule maintains a local estimate L_hat (halve once per iteration,
-double until the sufficient-decrease test passes, never above the global L),
-which keeps the certificate valid while taking usefully large steps.
+Two step rules are provided.  The short step gap/(2*L*B^2) toward the oracle
+vertex uses the global Lipschitz constant L, is extremely conservative on
+real instances, and evaluates (one Cholesky factorization) every iterate.
+The default rule takes pairwise steps (Lacoste-Julien & Jaggi, NeurIPS
+2015): it moves weight from the away vertex (the origin while budget is
+left, else the support coordinate with the largest gradient) to the oracle
+vertex, so at most two coordinates change and the information matrix
+changes by a rank-two term.  The solver keeps G = H C, tr C and the
+precisions current by the Woodbury identity in O(md) per step without ever
+forming C, and finds the step length by a safeguarded secant search on the
+directional derivative, which needs only k x k algebra (k <= 2).  A step
+that empties the away vertex drops that coordinate to exactly zero, which
+is what lets pinned coordinates leave the support in one step instead of
+draining geometrically.  The state is rebuilt from a fresh evaluation every
+_REFRESH_STEPS steps, after an update it cannot trust (a Woodbury pivot far
+from 1, or a point whose Cholesky factorization is not assured) and before
+the solver stops, so the returned objective and gap always come from a
+fresh evaluation.
 """
 
 from __future__ import annotations
@@ -23,26 +36,48 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .model import (
+    LN4,
     MAX_BITS,
-    BitRangeError,
     BitVector,
     DimensionMismatchError,
-    Evaluation,
     FactorizationError,
     ProblemInstance,
     allocation_array,
+    cholesky_solve,
     evaluate,
     lipschitz_constant,
 )
 from .trace import GapCertificate, IterationRecord, SolveTrace, Termination
 
-_L_HAT_FLOOR = 1e-12
-_DECREASE_SLACK = 1e-12
 _WARM_START_REFINEMENTS = 60
 _WARM_START_DAMPING = 0.5
+# Pairwise steps: rank-two updates between fresh evaluations; the Woodbury
+# pivots 1 + M_kk * drho_k are trusted within [_PIVOT_FLOOR, 1/_PIVOT_FLOOR]
+# (outside it the update shrinks or grows C along h_k so far that its
+# roundoff shows); the condition-number bound above which a new point is
+# checked by a fresh evaluation; budget slack below which the origin no
+# longer counts as an away vertex (roundoff); and the limits of the line
+# search along the pair.
+_REFRESH_STEPS = 50
+_PIVOT_FLOOR = 1e-4
+_CONDITION_LIMIT = 1e12
+_SLACK_FLOOR = 1e-12
+_SECANT_STEPS = 60
+_SLOPE_TOL = 1e-8
+_HALVINGS = 10
 
 
 class StepRule(Enum):
+    """How solve_fw picks its next iterate.
+
+    SHORT_STEP moves toward the oracle vertex by gap/(2*L*B^2), with L the
+    global Lipschitz constant, and evaluates every iterate.
+    ADAPTIVE_LIPSCHITZ (the default; the name is kept from an earlier local
+    Lipschitz estimate) takes pairwise steps from the away vertex to the
+    oracle vertex on rank-two updated state: a line search along the pair,
+    then the sufficient-decrease test f_next <= f - gamma*gap/2.
+    """
+
     SHORT_STEP = "short-step"
     ADAPTIVE_LIPSCHITZ = "adaptive-lipschitz"
 
@@ -159,12 +194,14 @@ def separable_warm_start(instance: ProblemInstance) -> BitVector:
     for _ in range(_WARM_START_REFINEMENTS):
         gradient = evaluate(instance, bits).gradient
         levels = bits + np.log(np.maximum(np.abs(gradient), 1e-300)) / np.log(4.0)
-        refined = (1.0 - _WARM_START_DAMPING) * bits + _WARM_START_DAMPING * _waterfill(levels, instance.budget)
+        fill = _waterfill(levels, instance.budget)
+        refined = (1.0 - _WARM_START_DAMPING) * bits + _WARM_START_DAMPING * fill
         converged = np.max(np.abs(refined - bits)) < 1e-12
         bits = refined
         if converged:
             break
-    return BitVector(np.maximum(bits, 0.0))
+    bits[fill == 0.0] = 0.0  # damping alone only halves a cut sensor's bits at each refit
+    return BitVector(bits)
 
 
 def _convex_step(b: np.ndarray, gamma: float, vertex: int | None, budget: float) -> np.ndarray:
@@ -174,40 +211,144 @@ def _convex_step(b: np.ndarray, gamma: float, vertex: int | None, budget: float)
     return out
 
 
-def _adaptive_step(instance, b, ev, gap, vertex, l_hat, l_cap, budget):
-    """Halve the local Lipschitz estimate, then double until sufficient decrease.
+class _State:
+    """G = H C (row k is (C h_k)'), f = tr C, the precisions and the gradient at one allocation.
 
-    A trial that overflows the bit-range guard or breaks the factorization
-    numerically counts as a rejection.  At the global-L cap the step is
-    accepted regardless: the decrease test holds there by smoothness, up to
-    roundoff.
+    Built from one evaluation, then kept current by rank-two updates;
+    ``updates`` counts them since that evaluation.
     """
-    l_hat = max(l_hat / 2.0, _L_HAT_FLOOR)
-    denom = 2.0 * budget * budget
-    while True:
-        gamma = min(gap / (l_hat * denom), 1.0) if denom > 0.0 else 0.0
-        trial = _convex_step(b, gamma, vertex, budget)
-        ev_trial = _evaluate_or_none(instance, trial)
-        if ev_trial is not None:
-            if l_hat >= l_cap or ev_trial.objective <= ev.objective - 0.5 * gamma * gap + _DECREASE_SLACK:
-                return gamma, trial, ev_trial, l_hat
-        elif l_hat >= l_cap:
-            break
-        l_hat = min(2.0 * l_hat, l_cap)
-    # not even representable at the cap: shrink until it is
-    while ev_trial is None:
+
+    def __init__(self, instance: ProblemInstance, bits: np.ndarray):
+        ev = evaluate(instance, bits)
+        self.sensing = instance.sensing_matrix
+        self.cov_h = np.ascontiguousarray(cholesky_solve(ev.factor, self.sensing.T).T)
+        self.objective = ev.objective
+        self.rho = ev.precisions
+        self.gradient = ev.gradient
+        self.updates = 0
+        self.row_sq = np.einsum("ij,ij->i", self.sensing, self.sensing)
+        self.prior_info_trace = float(np.trace(instance.prior_inverse))
+
+    def trusts(self, idx: list[int], m_pair: np.ndarray, drho: np.ndarray, decrease: float) -> bool:
+        """Whether the rank-two update is accurate and the new point surely factorizes.
+
+        Not when a pivot 1 + M_kk * drho_k leaves [_PIVOT_FLOOR, 1/_PIVOT_FLOOR],
+        and not when tr(J) * tr(C), a bound on the condition number of the
+        information matrix J, exceeds _CONDITION_LIMIT, where its Cholesky
+        factorization is no longer assured.
+        """
+        pivots = 1.0 + np.diag(m_pair) * drho
+        info_trace = self.prior_info_trace + self.rho @ self.row_sq + drho @ self.row_sq[idx]
+        return bool(
+            _PIVOT_FLOOR <= pivots.min()
+            and pivots.max() <= 1.0 / _PIVOT_FLOOR
+            and info_trace * (self.objective - decrease) <= _CONDITION_LIMIT
+        )
+
+    def update(self, idx: list[int], w: np.ndarray, k: np.ndarray, drho: np.ndarray, decrease: float) -> None:
+        """Apply C' = C - W K W' for the precision change drho at coordinates idx (W = G[idx]')."""
+        self.cov_h -= (self.cov_h @ self.sensing[idx].T) @ (k @ w.T)
+        self.objective -= decrease
+        self.rho[idx] += drho
+        self.gradient = -LN4 * self.rho * np.einsum("ij,ij->i", self.cov_h, self.cov_h)
+        self.updates += 1
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a 1x1 or 2x2 matrix in closed form (a quarter of numpy.linalg.inv's cost here)."""
+    if a.shape[0] == 1:
+        return 1.0 / a
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+
+
+def _pairwise_step(instance, state: _State, b: np.ndarray, gap: float, vertex: int | None, budget: float):
+    """Move weight from the away vertex to the oracle vertex; returns (gamma, bits, state).
+
+    The largest step empties the away vertex (slack/B for the origin, b_j/B
+    for coordinate j), or fills the oracle coordinate to MAX_BITS if that
+    comes first.  Along the pair, a trial costs one k x k inverse: with
+    S = diag(drho), M = H[idx] W and N = W'W, K = S (I + M S)^-1 gives the
+    decrease sum(K * N) of tr C, and R = I - K M = (I + S M)^-1 the new
+    gradient entries -ln4 * rho_k * [R' N R]_kk.  A secant search brackets
+    a zero of the directional derivative; the step is then halved until
+    f_next <= f - gamma * gap / 2 (gap, the FW gap, is at most the pair's).
+    Where the update is not trusted, the new point must factorize and the
+    test is repeated on its fresh objective.  A step with no such point
+    within _HALVINGS halvings (the gap at roundoff level) is a zero step.
+    """
+    g = state.gradient
+    slack = budget - float(b.sum())
+    if slack > _SLACK_FLOOR * budget:
+        away, gamma_max = None, slack / budget
+    else:
+        support = np.flatnonzero(b > 0.0)
+        away = int(support[np.argmax(g[support])])
+        gamma_max = b[away] / budget
+    idx = [k for k in (vertex, away) if k is not None]
+    pin = None if away is None else (len(idx) - 1, 0.0)  # the coordinate that gamma_max sets exactly
+    if vertex is not None and (MAX_BITS - b[vertex]) / budget < gamma_max:
+        gamma_max, pin = (MAX_BITS - b[vertex]) / budget, (0, MAX_BITS)
+    if vertex == away or gamma_max <= 0.0:
+        return 0.0, b, state
+    dirs = np.array([budget if k == vertex else -budget for k in idx])
+    gap_pair = -float(g[idx] @ dirs)
+    w = state.cov_h[idx].T
+    m_pair = state.sensing[idx] @ w
+    n_pair = w.T @ w
+    rho = state.rho[idx]
+    eye = np.eye(len(idx))
+
+    def trial(gamma):
+        moved = np.minimum(np.maximum(b[idx] + gamma * dirs, 0.0), MAX_BITS)
+        if gamma == gamma_max and pin is not None:
+            moved[pin[0]] = pin[1]
+        drho = rho * np.expm1(LN4 * (moved - b[idx]))
+        # a pivot that cancels to zero gives non-finite values, which fail every test below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = _inverse(eye + m_pair * drho)
+            k = drho[:, None] * inv
+            r = inv.T
+            slope = float(-LN4 * (rho + drho) * (r * (n_pair @ r)).sum(axis=0) @ dirs)
+            return moved, drho, k, float((k * n_pair).sum()), slope
+
+    gamma = gamma_max
+    moved, drho, k, decrease, slope = trial(gamma)
+    if slope > 0.0:
+        lo, slope_lo, hi, slope_hi, kept = 0.0, -gap_pair, gamma_max, slope, 0
+        for _ in range(_SECANT_STEPS):
+            gamma = lo - slope_lo * (hi - lo) / (slope_hi - slope_lo)
+            if not lo < gamma < hi:
+                gamma = 0.5 * (lo + hi)
+            moved, drho, k, decrease, slope = trial(gamma)
+            if abs(slope) <= _SLOPE_TOL * gap_pair or hi - lo <= 1e-15 * gamma_max:
+                break
+            # Illinois rule: halve the slope kept at an end that survives twice running
+            if slope < 0.0:
+                lo, slope_lo = gamma, slope
+                slope_hi *= 0.5 if kept > 0 else 1.0
+                kept = max(kept, 0) + 1
+            else:
+                hi, slope_hi = gamma, slope
+                slope_lo *= 0.5 if kept < 0 else 1.0
+                kept = min(kept, 0) - 1
+    for _ in range(_HALVINGS):
+        if decrease >= 0.5 * gamma * gap:
+            b_next = b.copy()
+            b_next[idx] = moved
+            if state.trusts(idx, m_pair, drho, decrease):
+                if state.updates + 1 >= _REFRESH_STEPS:
+                    return gamma, b_next, _State(instance, b_next)
+                state.update(idx, w, k, drho, decrease)
+                return gamma, b_next, state
+            try:
+                fresh = _State(instance, b_next)
+            except FactorizationError:
+                fresh = None  # 4**b spans too wide a range for the Cholesky factorization
+            if fresh is not None and fresh.objective <= state.objective - 0.5 * gamma * gap:
+                return gamma, b_next, fresh
         gamma *= 0.5
-        trial = _convex_step(b, gamma, vertex, budget)
-        ev_trial = _evaluate_or_none(instance, trial)
-    return gamma, trial, ev_trial, l_hat
-
-
-def _evaluate_or_none(instance, bits):
-    """Evaluation at a trial point, or None where 4**b overflows or the factorization fails."""
-    try:
-        return evaluate(instance, bits)
-    except (BitRangeError, FactorizationError):
-        return None
+        moved, drho, k, decrease, slope = trial(gamma)
+    return 0.0, b, state
 
 
 @single_blas_thread()
@@ -215,9 +356,13 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
     """Run the conditional-gradient method from the origin or a warm start.
 
     Every iterate is a convex combination of feasible points, so feasibility
-    is preserved exactly.  The returned certificate pairs the best observed
-    gap with the max(2*h0, 2*L*B^2)/sqrt(T+1) envelope, where h0 is the
-    observed objective drop.
+    is preserved exactly.  The default step rule takes pairwise steps on
+    rank-two updated state (see the module docstring): intermediate records
+    carry the updated objective and gap, and the final record, the returned
+    objective and the stopping test come from a fresh evaluation at the
+    returned point.  The certificate pairs the best recorded gap with the
+    max(2*h0, 2*L*B^2)/sqrt(T+1) envelope, where h0 is the observed
+    objective drop.
     """
     cfg = config or FwConfig()
     budget = instance.budget
@@ -230,14 +375,16 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
         if not BitVector(b).feasible_for(budget):
             raise DimensionMismatchError(f"start exceeds budget: sum {b.sum():.6g} > {budget:.6g}")
     lip = lipschitz_constant(instance)
+    pairwise = cfg.step_rule is StepRule.ADAPTIVE_LIPSCHITZ
 
     records: list[IterationRecord] = []
     clock = time.perf_counter
     t0 = clock()
-    ev: Evaluation = evaluate(instance, b)
-    l_hat = 1.0
-    for t in range(cfg.max_iterations + 1):
-        vertex, gap = _oracle(b, ev.gradient, budget)
+    state = _State(instance, b) if pairwise else evaluate(instance, b)
+    stuck = False  # a zero pairwise step leaves everything as it was, so each later step repeats it
+    while True:
+        t = len(records)
+        vertex, gap = _oracle(b, state.gradient, budget)
         elapsed = clock() - t0
         termination = (
             Termination.GAP_CONVERGED if gap <= cfg.gap_tolerance
@@ -245,17 +392,21 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
             else Termination.MAX_ITERATIONS if t == cfg.max_iterations
             else None
         )
+        if termination is not None and pairwise and state.updates:
+            state, stuck = _State(instance, b), False  # stop only on a fresh evaluation
+            continue
         if termination is not None:  # the last record takes no step
-            records.append(IterationRecord(t, ev.objective, gap, 0.0, vertex, None, elapsed))
+            records.append(IterationRecord(t, state.objective, gap, 0.0, vertex, None, elapsed))
             break
-        if cfg.step_rule is StepRule.SHORT_STEP:
-            gamma = min(gap / (2.0 * lip * budget * budget), 1.0) if budget > 0.0 else 0.0
-            b_next = _convex_step(b, gamma, vertex, budget)
-            ev_next = evaluate(instance, b_next)
+        objective = state.objective
+        if pairwise:
+            gamma, b, state = (0.0, b, state) if stuck else _pairwise_step(instance, state, b, gap, vertex, budget)
+            stuck = gamma == 0.0
         else:
-            gamma, b_next, ev_next, l_hat = _adaptive_step(instance, b, ev, gap, vertex, l_hat, lip, budget)
-        records.append(IterationRecord(t, ev.objective, gap, gamma, vertex, None, elapsed))
-        b, ev = b_next, ev_next
+            gamma = min(gap / (2.0 * lip * budget * budget), 1.0) if budget > 0.0 else 0.0
+            b = _convex_step(b, gamma, vertex, budget)
+            state = evaluate(instance, b)
+        records.append(IterationRecord(t, objective, gap, gamma, vertex, None, elapsed))
 
     objectives = [rec.objective for rec in records]
     h0 = objectives[0] - min(objectives)

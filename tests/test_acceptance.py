@@ -62,9 +62,9 @@ def agreement_runs():
     run; agreement between independent methods is only a meaningful test
     where the landscape gives them one basin to agree on.  The
     conditional-gradient side starts from the water-filling warm start, the
-    package's default for this solver: from a flat start, coordinates the
-    optimum pins at zero drain only geometrically, which is a documented
-    limitation of the plain method (away-step variants are out of scope).
+    package's default for this solver: from a flat start, the plain method
+    drains coordinates the optimum pins at zero only geometrically, and the
+    default pairwise rule drops each of them to zero in one step.
     """
     runs = []
     for d in DESK_SIZES:

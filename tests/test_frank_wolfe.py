@@ -134,7 +134,7 @@ class TestSolve:
         assert len(trace.iterates) == 4  # iterates 0..3
 
     def test_time_limit_termination(self):
-        trace = solve_fw(random_instance(9, d=10, m=20), FwConfig(max_iterations=100000, time_limit=0.05))
+        trace = solve_fw(random_instance(9, d=10, m=20), FwConfig(max_iterations=100000, gap_tolerance=1e-300, time_limit=0.05))
         assert trace.termination is Termination.TIME_LIMIT
 
     def test_warm_start(self):
@@ -155,6 +155,69 @@ class TestSolve:
         trace = solve_fw(inst)
         assert trace.termination is Termination.GAP_CONVERGED
         assert trace.final_bits.total == 0.0
+
+
+def _record_steps(monkeypatch):
+    """Wrap the pairwise step; returns the list of (bits, state) it accepts."""
+    steps = []
+    original = fw_mod._pairwise_step
+
+    def recorded(*args):
+        gamma, bits, state = original(*args)
+        steps.append((bits.copy(), state))
+        return gamma, bits, state
+
+    monkeypatch.setattr(fw_mod, "_pairwise_step", recorded)
+    return steps
+
+
+class TestPairwise:
+    def test_updated_state_matches_fresh_evaluation(self, monkeypatch):
+        # the rank-two updates alone carry the state through 300 or more steps
+        monkeypatch.setattr(fw_mod, "_REFRESH_STEPS", 10**9)
+        steps = _record_steps(monkeypatch)
+        inst = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=56, seed=505))
+        solve_fw(inst, FwConfig(max_iterations=400, gap_tolerance=1e-300), start=separable_warm_start(inst))
+        bits, state = steps[-1]
+        assert state.updates >= 300
+        fresh = fw_mod.evaluate(inst, bits)
+        assert state.objective == pytest.approx(fresh.objective, rel=1e-10)
+        assert np.max(np.abs(state.gradient - fresh.gradient)) <= 1e-10 * np.max(np.abs(fresh.gradient))
+
+    @pytest.mark.parametrize(
+        "inst, warm",
+        [
+            (random_instance(23), False),  # all 58 bits on one sensor of a d=2 instance: a failed factorization
+            (random_instance(3, d=8, m=12), False),
+            (generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=7)), False),
+            (generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=56, seed=504)), True),
+        ],
+    )
+    def test_every_accepted_iterate_feasible(self, monkeypatch, inst, warm):
+        steps = _record_steps(monkeypatch)
+        start = separable_warm_start(inst) if warm else None
+        solve_fw(inst, FwConfig(max_iterations=300), start=start)
+        assert steps
+        for bits, _ in steps:
+            assert bits.min() >= -1e-12
+            assert bits.sum() <= inst.budget * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_budget_beyond_max_bits(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        inst = ProblemInstance.with_identity_prior(rng.standard_normal((m, 2)), np.ones(m), 600.0)
+        steps = _record_steps(monkeypatch)
+        trace = solve_fw(inst, FwConfig(max_iterations=200, gap_tolerance=1e-300))
+        assert trace.certificate.holds
+        assert max(bits.max() for bits, _ in steps) <= MAX_BITS
+        assert trace.final_objective == pytest.approx(fw_mod.evaluate(inst, trace.final_bits).objective, rel=1e-12)
+
+    def test_final_record_from_fresh_evaluation(self):
+        inst = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=29, seed=3))
+        trace = solve_fw(inst, FwConfig(max_iterations=120), start=separable_warm_start(inst))
+        fresh = fw_mod.evaluate(inst, trace.final_bits)
+        assert trace.final_objective == fresh.objective
+        assert trace.iterates[-1].gap == fw_gap(trace.final_bits, fresh.gradient, inst.budget)
 
 
 class TestSeparableWarmStart:
@@ -181,6 +244,14 @@ class TestSeparableWarmStart:
         start = separable_warm_start(inst)
         assert start.bits.max() <= MAX_BITS
         assert start.total == pytest.approx(inst.budget, rel=1e-12)
+
+    def test_cut_sensors_are_exactly_zero(self):
+        # damping alone would leave each cut sensor at 0.5**60 of its start, about 1e-19 bits here
+        inst = generate(InstanceSpec(InstanceKind.RANDOM_GAUSSIAN, d=50, m=1000, seed=2, budget_per_sensor=0.1))
+        bits = separable_warm_start(inst).bits
+        assert np.count_nonzero(bits == 0.0) > 900
+        assert not np.any((bits > 0.0) & (bits < 1e-6))
+        assert bits.sum() <= inst.budget * (1.0 + 1e-12)
 
     def test_feeds_solver(self):
         inst = random_instance(22, d=6, m=6)
