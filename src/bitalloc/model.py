@@ -7,12 +7,13 @@ of an allocation b is the trace of the error covariance of the linear MMSE
 state estimate, to be driven down subject to a total bit budget.
 
 This module owns the instance container and the evaluation kernel: objective
-value, analytic gradient, a global Lipschitz constant for the gradient, and a
-dense Hessian kept around for validation.  One call to :func:`evaluate` costs
-exactly one Cholesky factorization of the d x d information matrix, whose
-triangular inverse from LAPACK ``dtrtri`` gives both the objective and the
-gradient; all factorizations are routed through :func:`cholesky_lower` so
-tests can count or sabotage them.  The kernel does not pin BLAS threads
+value, analytic gradient, a global Lipschitz constant for the gradient, and the
+dense bit-space Hessian behind the barrier's Newton steps: O(m^2 d) to build
+from an evaluation's factor, O(m^3) for the barrier to factor, per step.
+One call to :func:`evaluate` costs exactly one Cholesky factorization of the
+d x d information matrix, whose triangular inverse from LAPACK ``dtrtri``
+gives both the objective and the gradient; all factorizations are routed
+through :func:`cholesky_lower` so tests can count or sabotage them.  The kernel does not pin BLAS threads
 itself: its callers, the solvers and :func:`hessian_exact`, run inside
 :func:`~bitalloc._blas.single_blas_thread`.
 """
@@ -309,18 +310,17 @@ def lipschitz_constant(instance: ProblemInstance) -> float:
     return LN4 * LN4 * instance.prior_spectral_norm * (2 * instance.m + 1)
 
 
-@single_blas_thread()
-def hessian_exact(instance: ProblemInstance, bits) -> np.ndarray:
-    """Dense Hessian of the objective in bit space.
+def objective_hessian(instance: ProblemInstance, ev: Evaluation) -> np.ndarray:
+    """Dense Hessian of the objective in bit space, from an Evaluation's factor.
 
-    Intended for validation on small instances (m up to ~100): it forms two
-    m x m matrices of sensor cross terms.  In precision space the objective
-    is convex with second derivatives 2 * (h_i' C h_j) * (h_i' C^2 h_j); the
-    chain rule through 4**b adds a diagonal term that is always nonpositive,
-    which is what makes the bit-space problem nonconvex.  Symmetrized after
-    assembly to kill roundoff asymmetry.
+    No factorization: it forms two m x m matrices of sensor cross terms from
+    the Cholesky factor the evaluation already holds, at O(m^2 d) cost.  In
+    precision space the objective is convex with second derivatives
+    2 * (h_i' C h_j) * (h_i' C^2 h_j); the chain rule through 4**b adds a
+    diagonal term that is always nonpositive, which is what makes the
+    bit-space problem nonconvex.  Symmetrized after assembly to kill roundoff
+    asymmetry.
     """
-    ev = evaluate(instance, bits)
     rho = ev.precisions
     h = instance.sensing_matrix
     cov_ht = cholesky_solve(ev.factor, h.T)  # C_eps H', d x m
@@ -333,3 +333,12 @@ def hessian_exact(instance: ProblemInstance, bits) -> np.ndarray:
     curvature = 2.0 * (rho[:, None] * cross_cov) * (cross_cov_sq * rho[None, :])
     hess = LN4 * LN4 * (diag_term + curvature)
     return 0.5 * (hess + hess.T)
+
+
+@single_blas_thread()
+def hessian_exact(instance: ProblemInstance, bits) -> np.ndarray:
+    """Dense Hessian of the objective in bit space at an allocation.
+
+    One :func:`evaluate` then :func:`objective_hessian`: O(d^3 + m^2 d).
+    """
+    return objective_hessian(instance, evaluate(instance, bits))

@@ -138,8 +138,20 @@ class TestSolve:
 
     def test_time_limit(self):
         inst = random_instance(9, d=12, m=24)
-        trace, _ = solve_barrier(inst, BarrierConfig(time_limit=0.02))
+        trace, _ = solve_barrier(inst, BarrierConfig(time_limit=1e-6))
         assert trace.termination is Termination.TIME_LIMIT
+
+    def test_converged_label_meets_tolerance(self):
+        for seed in range(700, 710):
+            trace, _ = solve_barrier(generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=seed)))
+            if trace.termination is Termination.GAP_CONVERGED:
+                assert trace.iterates[-1].gap <= 1e-8
+
+    def test_inner_iteration_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(barrier_mod, "_MAX_INNER_ITERATIONS", 2)
+        inst = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=700))
+        trace, _ = solve_barrier(inst)
+        assert trace.termination is Termination.MAX_ITERATIONS
 
     def test_trace_has_mu_and_no_certificate(self):
         trace, _ = solve_barrier(one_by_one())
