@@ -1,29 +1,35 @@
 """Log-barrier interior-point solver with damped Newton inner loops.
 
 The constrained relaxation is replaced by a sequence of unconstrained
-subproblems  F(b) - mu * sum(log b_i) - mu * log(s)  in the allocation b and
-the budget slack s, with mu driven down geometrically, from 1 by a factor of
-10 per stage to the configured final value.  Each subproblem is minimized by
-Newton steps on the exact Hessian of that merit,
-grad^2 F + diag(mu/b^2) + (mu/s^2) 11', where grad^2 F comes from the
-factor the step's evaluation already holds: O(m^2 d) to build and O(m^3) to
-factor per step.  The paper's solver approximates it by L-BFGS instead.  F is
-nonconvex in bit space, so a multiple of the identity is added until the
-Newton matrix factors.  Armijo backtracking on objective-only trials, capped
-by the fraction to the boundary, keeps every iterate strictly interior.
+subproblems  F(b) - w * sum(log b_i) - w * log(s)  in the allocation b and
+the budget slack s.  The weight w = mu * f(b0) and every tolerance are
+relative to the objective at the start point, which is minimizing F / f(b0)
+(objective scaling, Waechter & Biegler 2006, sec. 3.8): a rescaled instance
+takes the same steps.  mu goes from 1 by a factor of 10 per stage to the
+configured final value.  Each subproblem is minimized by Newton steps on the
+exact Hessian of that merit, grad^2 F + diag(w/b^2) + (w/s^2) 11', where
+grad^2 F comes from the factor the step's evaluation already holds: O(m^2 d)
+to build and O(m^3) to factor per step.  The paper's solver approximates it
+by L-BFGS instead.  F is nonconvex in bit space, so a multiple of the
+identity is added until the Newton matrix factors.  Armijo backtracking on
+objective-only trials, capped by the fraction to the boundary, keeps every
+iterate strictly interior.  No trial moves a coordinate by more than
+_MAX_BIT_STEP = 4 bits: a quadratic model of 4**b is not trustworthy further
+out, and a regularized step can be a thousand bits long, where the
+information matrix no longer factors.
 
 The slack is its own variable, updated by s -= t * sum(p): recomputed as
-B - sum b, its cancellation puts an error of about mu * ulp(B) / s^2 into the
+B - sum b, its cancellation puts an error of about w * ulp(B) / s^2 into the
 gradient, above the tolerance near the final mu.  When the predicted
 decrease -g'p is below what merit values resolve (_VALUE_NOISE relative to
-the merit), the capped Newton step is taken without trials.
+f(b0) or the merit), the capped Newton step is taken without trials.
 
 A solve is ``gap-converged`` only if the final stage meets its gradient
-tolerance, ``max-iterations`` if that stage runs out of inner iterations and
-``time-limit`` if the clock runs out first.  The reported multipliers are the
-central-path ones, mu/b and mu/s, so stationarity is the final
-barrier-gradient norm and complementarity is mu.  Only the final mu and the
-wall-clock limit are configurable.
+tolerance of 1e-8 * f(b0), ``max-iterations`` if that stage runs out of inner
+iterations and ``time-limit`` if the clock runs out first.  The reported
+multipliers are the central-path ones, w/b and w/s, so stationarity is the
+final barrier-gradient max-norm and complementarity is w, both in the
+objective's units; trace records carry the relative mu.
 """
 
 from __future__ import annotations
@@ -56,11 +62,10 @@ _MAX_INNER_ITERATIONS = 500
 _ARMIJO_C1 = 1e-4
 _BOUNDARY_FRACTION = 0.995
 _MAX_BACKTRACKS = 60
-# Predicted decreases below this fraction of the merit are not resolvable by
-# merit values, so the step is taken without a line search.
 _VALUE_NOISE = 1e-10
 # Intermediate subproblems only need to track the central path to O(mu).
 _PATH_TRACK_FACTOR = 1e-2
+_MAX_BIT_STEP = 4.0
 
 
 class BoundaryError(BitAllocationError):
@@ -79,6 +84,8 @@ class LineSearchError(BitAllocationError):
 
 @dataclass(frozen=True)
 class BarrierConfig:
+    """Final mu, relative (the last weight is mu_final * f(b0)), and wall-clock limit in s."""
+
     mu_final: float = 1e-9
     time_limit: float = 600.0
 
@@ -155,7 +162,7 @@ def _newton_direction(instance, mu, b, slack, grad, ev):
 
 
 def _fraction_to_boundary(b, p, slack, advance):
-    t_max = 1.0
+    t_max = min(1.0, _MAX_BIT_STEP / float(np.max(np.abs(p))))
     neg = p < 0.0
     if np.any(neg):
         t_max = min(t_max, _BOUNDARY_FRACTION * float(np.min(b[neg] / -p[neg])))
@@ -194,12 +201,14 @@ def solve_barrier(
         mus.append(mus[-1] * _MU_DECREASE_FACTOR)
     mus.append(cfg.mu_final)
 
+    scale = objective_value(instance, b)
     out_of_time = False
     for stage, mu in enumerate(mus):
-        tol = _INNER_GRADIENT_TOLERANCE * max(1.0, mu)
+        weight = mu * scale
+        tol = _INNER_GRADIENT_TOLERANCE * scale
         if stage < len(mus) - 1:
-            tol = max(tol, _PATH_TRACK_FACTOR * mu)
-        val, grad, ev = _merit(instance, mu, b, slack)
+            tol = max(tol, _PATH_TRACK_FACTOR * weight)
+        val, grad, ev = _merit(instance, weight, b, slack)
         grad_norm = float(np.max(np.abs(grad)))
         for inner in range(_MAX_INNER_ITERATIONS):
             if grad_norm <= tol:
@@ -207,13 +216,13 @@ def solve_barrier(
             if clock() - t0 >= cfg.time_limit:
                 out_of_time = True
                 break
-            p = _newton_direction(instance, mu, b, slack, grad, ev)
+            p = _newton_direction(instance, weight, b, slack, grad, ev)
             advance = float(p.sum())
             t = _fraction_to_boundary(b, p, slack, advance)
             directional = float(grad @ p)
-            if -directional > _VALUE_NOISE * max(1.0, abs(val)):
+            if -directional > _VALUE_NOISE * max(scale, abs(val)):
                 for _ in range(_MAX_BACKTRACKS):
-                    trial = _merit_value(instance, mu, b + t * p, slack - t * advance)
+                    trial = _merit_value(instance, weight, b + t * p, slack - t * advance)
                     if trial <= val + _ARMIJO_C1 * t * directional:
                         break
                     t *= 0.5
@@ -227,7 +236,7 @@ def solve_barrier(
                     )
             b = b + t * p
             slack -= t * advance
-            val, grad, ev = _merit(instance, mu, b, slack)
+            val, grad, ev = _merit(instance, weight, b, slack)
             grad_norm = float(np.max(np.abs(grad)))
             records.append(IterationRecord(len(records), ev.objective, grad_norm, t, None, mu, clock() - t0))
         if out_of_time:
@@ -242,11 +251,9 @@ def solve_barrier(
     if not records:
         records.append(IterationRecord(0, ev.objective, grad_norm, 0.0, None, mu, clock() - t0))
 
-    # Central-path multipliers of the last stage entered: stationarity is the
-    # barrier-gradient norm there and complementarity is that stage's mu.
-    bound_multipliers = mu / b
+    bound_multipliers = weight / b
     certificate = KktCertificate(
-        budget_multiplier=mu / slack,
+        budget_multiplier=weight / slack,
         bound_multipliers=bound_multipliers,
         stationarity_residual=grad_norm,
         complementarity_residual=float(np.max(bound_multipliers * b)),

@@ -97,14 +97,6 @@ class RunResult:
     exit_code: int = EXIT_OK
 
 
-def _barrier_config(plan: ExperimentPlan) -> BarrierConfig:
-    if plan.experiment is Experiment.UNIFORM_SWEEP:
-        # sweep budgets reach B = 7m; the saturation slack mu/lambda must
-        # clear the rounding gate 1e-6 * B even on weakly identified trials
-        return BarrierConfig(time_limit=plan.time_limit, mu_final=1e-11)
-    return BarrierConfig(time_limit=plan.time_limit)
-
-
 def _quantiles(values) -> tuple[float, float, float]:
     data = sorted(values)
     return statistics.median(data), float(np.percentile(data, 25)), float(np.percentile(data, 75))
@@ -200,14 +192,14 @@ def _solve_one(plan, instance, solver: str):
         start = separable_warm_start(instance) if instance.budget > 0.0 else None
         trace, kkt = solve_fw(instance, config, start=start), None
     else:
-        trace, kkt = solve_barrier(instance, _barrier_config(plan))
+        trace, kkt = solve_barrier(instance, BarrierConfig(time_limit=plan.time_limit))
     return trace, kkt, time.perf_counter() - t_start
 
 
 def _barrier_and_round(plan, instance):
     """Barrier solve then rounding; returns (trace, kkt, report, wall seconds of both)."""
     t0 = time.perf_counter()
-    trace, kkt = solve_barrier(instance, _barrier_config(plan))
+    trace, kkt = solve_barrier(instance, BarrierConfig(time_limit=plan.time_limit))
     report = round_with_guarantees(instance, trace.final_bits)
     return trace, kkt, report, time.perf_counter() - t0
 

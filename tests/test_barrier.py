@@ -4,8 +4,9 @@ import pytest
 from bitalloc import barrier as barrier_mod, model as model_mod
 from bitalloc.barrier import BarrierConfig, BoundaryError, barrier_objective, solve_barrier
 from bitalloc.frank_wolfe import FwConfig, solve_fw
-from bitalloc.instances import InstanceKind, InstanceSpec, generate
+from bitalloc.instances import InstanceKind, InstanceSpec, KappaRange, generate
 from bitalloc.model import ProblemInstance, evaluate
+from bitalloc.rounding import round_with_guarantees
 from bitalloc.trace import Termination
 
 from conftest import fd_gradient, random_instance
@@ -158,6 +159,58 @@ class TestSolve:
         assert trace.certificate is None
         assert all(rec.barrier_mu is not None for rec in trace.iterates)
         assert all(rec.vertex is None for rec in trace.iterates)
+
+
+class TestScaleFree:
+    """The schedule and tolerances are relative to f(b0), so the objective's scale does not matter."""
+
+    def test_kappa_spread_saturates_and_rounds(self):
+        # objectives near 1e-8, far below a weight of 1: only a schedule relative
+        # to f(b0) drives the budget slack below the rounding gate
+        for seed in range(10):
+            spec = InstanceSpec(InstanceKind.RANDOM_GAUSSIAN, d=8, m=20, kappa=KappaRange(1e-6, 1e6), seed=seed)
+            inst = generate(spec)
+            trace, _ = solve_barrier(inst)
+            assert trace.termination is Termination.GAP_CONVERGED
+            assert 0.0 < inst.budget - trace.final_bits.total <= 1e-6 * inst.budget
+            round_with_guarantees(inst, trace.final_bits)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e8])
+    def test_rescaled_twin_gets_the_same_answer(self, alpha):
+        # prior times alpha and kappa over alpha scale C, and so f, by exactly alpha
+        for seed in range(500, 503):
+            inst = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=seed))
+            twin = ProblemInstance(
+                inst.sensing_matrix, alpha * inst.prior_covariance, inst.kappa / alpha, inst.budget
+            )
+            trace, _ = solve_barrier(inst)
+            twin_trace, _ = solve_barrier(twin)
+            assert twin_trace.termination is Termination.GAP_CONVERGED
+            relaxed, twin_relaxed = trace.final_bits.bits, twin_trace.final_bits.bits
+            assert np.max(np.abs(twin_relaxed - relaxed)) <= 1e-6 * np.max(np.abs(relaxed))
+            np.testing.assert_array_equal(
+                round_with_guarantees(twin, twin_trace.final_bits).rounded_bits.bits,
+                round_with_guarantees(inst, trace.final_bits).rounded_bits.bits,
+            )
+
+    def test_no_line_search_trial_raises(self, monkeypatch):
+        # on these grids an uncapped Newton step on an indefinite merit Hessian runs
+        # hundreds of bits out, to trials whose information matrix does not factor
+        raised = []
+        original = barrier_mod.objective_value
+
+        def recording(instance, bits):
+            try:
+                return original(instance, bits)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(barrier_mod, "objective_value", recording)
+        for seed in (1876105222, 1070547931, 303800737):
+            spec = InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=seed, budget_per_sensor=2.0)
+            solve_barrier(generate(spec), BarrierConfig(mu_final=1e-11))
+        assert raised == []
 
 
 class TestConfigValidation:
