@@ -79,6 +79,8 @@ class ExperimentPlan:
             raise ValueError("trials must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.mc_samples < 2:
+            raise ValueError("samples must be at least 2 for a standard error")
         if self.experiment in (Experiment.UNIFORM_SWEEP, Experiment.SENSOR_SCALING):
             if self.sweep_values is None:
                 uniform = self.experiment is Experiment.UNIFORM_SWEEP
@@ -188,7 +190,9 @@ def _solve_one(plan, instance, solver: str):
     """Run one solver; returns (trace, KKT certificate or None for fw, wall seconds)."""
     t_start = time.perf_counter()
     if solver == "fw":
-        config = FwConfig(max_iterations=2000, step_rule=StepRule.ADAPTIVE_LIPSCHITZ, time_limit=plan.time_limit)
+        # a pairwise step moves one pair of coordinates, so the cap grows with m
+        cap = max(2000, 5 * instance.m)
+        config = FwConfig(max_iterations=cap, step_rule=StepRule.ADAPTIVE_LIPSCHITZ, time_limit=plan.time_limit)
         start = separable_warm_start(instance) if instance.budget > 0.0 else None
         trace, kkt = solve_fw(instance, config, start=start), None
     else:

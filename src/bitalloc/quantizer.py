@@ -12,8 +12,9 @@ Monte-Carlo check is sharp.  The estimator under test is the LMMSE estimator
 in information form, so its one factorization is of a d x d matrix.
 
 The simulation streams over blocks of _CHANNEL_BLOCK channel rows and never
-holds an m x n array: its memory is O((d + k) n) for n samples and block
-height k, not O(m n).  A row-major (m, n) uniform draw is the same stream as
+holds an m x n array.  Each block is drawn, quantized and reduced in place in
+three buffers of k x n, allocated once, so memory is O((d + 3k) n) for n
+samples and block height k, not O(m n).  A row-major (m, n) uniform draw is the same stream as
 its row blocks drawn in order, so the dither does not depend on the block
 height, and each clean reading is the same dot product.  The readings and the
 per-channel error statistics are therefore those of an unblocked run whenever
@@ -87,16 +88,20 @@ class MonteCarloReport:
     standard_error: float
 
 
-def quantize(value, bin_width, dither, mode: DitherMode):
+def quantize(value, bin_width, dither, mode: DitherMode, out=None):
     """Mid-rise uniform quantizer with additive dither.
 
     Returns Delta * (floor((v + tau)/Delta) + 1/2); in subtractive mode the
-    dither is removed again after quantization.  Accepts scalars or arrays
-    (broadcasting applies).
+    dither is removed after quantization.  Takes scalars or arrays (they
+    broadcast); as with a ufunc, every step is written into ``out`` if given.
     """
-    level = bin_width * (np.floor((value + dither) / bin_width) + 0.5)
+    level = np.add(value, dither, out=out)
+    level = np.divide(level, bin_width, out=out)
+    level = np.floor(level, out=out)
+    level = np.add(level, 0.5, out=out)
+    level = np.multiply(level, bin_width, out=out)
     if mode is DitherMode.SUBTRACTIVE:
-        return level - dither
+        level = np.subtract(level, dither, out=out)
     return level
 
 
@@ -114,7 +119,7 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     numerically singular.
 
     Channels are processed in row blocks, each adding its share of H' W y
-    into one d x n right-hand side, so peak memory is O((d + k) n) with
+    into one d x n right-hand side, so peak memory is O((d + 3k) n) with
     k = _CHANNEL_BLOCK rather than O(m n).  The dither stream is the one an
     (m, n) draw would give (see the module docstring); the channel sum in
     H' W y is reassociated, which moves the empirical MSE in its last digits
@@ -133,27 +138,37 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     states = instance.prior_factor @ rng.standard_normal((instance.d, n))
     weights = 12.0 / bank.bin_widths**2
     rhs = np.zeros((instance.d, n))
+    product = np.empty((instance.d, n))
     error_mean = np.empty(instance.m)
     error_se = np.zeros(instance.m)
     # A lone last row joins the block before it: numpy sends a one-row product
     # to BLAS gemv, whose sums can differ from gemm's.
     edges = list(range(0, max(instance.m - 1, 1), _CHANNEL_BLOCK)) + [instance.m]
+    blocks = np.empty((3, max(np.diff(edges)), n))
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = slice(lo, hi)
-        clean = h[rows] @ states
+        clean, dither, readings = blocks[:, : hi - lo]
+        np.matmul(h[rows], states, out=clean)
         widths = bank.bin_widths[rows, None]
-        dither = rng.uniform(-0.5, 0.5, size=clean.shape) * widths
-        readings = quantize(clean, widths, dither, bank.dither_mode)
-        rhs += h[rows].T @ (weights[rows, None] * readings)
-        channel_errors = readings - clean
-        error_mean[rows] = channel_errors.mean(axis=1)
+        # rng.uniform(-0.5, 0.5) draws the same doubles and adds -0.5 to each
+        rng.random(out=dither)
+        dither -= 0.5
+        dither *= widths
+        quantize(clean, widths, dither, bank.dither_mode, out=readings)
+        weighted = np.multiply(weights[rows, None], readings, out=dither)
+        rhs += np.matmul(h[rows].T, weighted, out=product)
+        # per-channel errors, then the steps of mean and std(ddof=1)
+        errors = np.subtract(readings, clean, out=clean)
+        means = np.sum(errors, axis=1) / n
+        error_mean[rows] = means
         if n > 1:
-            error_se[rows] = channel_errors.std(axis=1, ddof=1) / np.sqrt(n)
+            errors -= means[:, None]
+            errors *= errors
+            error_se[rows] = np.sqrt(np.sum(errors, axis=1) / (n - 1)) / np.sqrt(n)
 
     scaled = h * np.sqrt(weights)[:, None]
     factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
     estimates = cholesky_solve(factor, rhs)
-
     squared_errors = np.sum((estimates - states) ** 2, axis=0)
     empirical_mse = float(squared_errors.mean())
     standard_error = float(squared_errors.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0

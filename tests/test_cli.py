@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bitalloc.cli import main
+from bitalloc.cli import EXIT_PLAN_ERROR, main
 
 
 def test_validate_passes(capsys):
@@ -64,6 +64,14 @@ def test_missing_config_is_plan_error(capsys):
     code = main(["solve", "--config", "/nonexistent/spec.json"])
     assert code == 1
     assert "plan error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["1", "0"])
+def test_too_few_samples_is_plan_error(samples, capsys):
+    # one sample has no standard error to test the model against
+    code = main(["validate", "--samples", samples])
+    assert code == EXIT_PLAN_ERROR
+    assert "samples must be at least 2" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_one():

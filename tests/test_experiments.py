@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bitalloc import experiments
 from bitalloc.experiments import (
     EXIT_ALL_FAILED,
     EXIT_OK,
@@ -104,6 +105,24 @@ class TestUniformSweepPlan:
         assert [agg["budget_per_sensor"] for agg in result.aggregates] == [2.0, 3.0]
 
 
+    def test_fw_iteration_cap_scales_with_sensors(self, monkeypatch):
+        # pairwise steps move one pair of coordinates each, so m = 499 needs
+        # more than 2,000 of them to certify its gap
+        caps = []
+        real_solve_fw = experiments.solve_fw
+
+        def recording_solve_fw(instance, config, **kwargs):
+            caps.append((instance.m, config.max_iterations))
+            return real_solve_fw(instance, config, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_fw", recording_solve_fw)
+        for m in (5, 600):
+            spec = InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=3, m=m)
+            plan = ExperimentPlan(experiment=Experiment.SOLVE, instance_spec=spec, trials=1, solver=SolverChoice.FW)
+            assert run(plan).exit_code == EXIT_OK
+        assert caps == [(5, 2000), (600, 3000)]
+
+
 class TestSensorScalingPlan:
     def test_per_iteration_timing(self):
         plan = ExperimentPlan(
@@ -196,6 +215,11 @@ class TestPlanValidation:
     def test_threads_positive(self):
         with pytest.raises(ValueError):
             ExperimentPlan(experiment=Experiment.SOLVE, instance_spec=SMALL_GRID, threads=0)
+
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_samples_at_least_two(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            ExperimentPlan(experiment=Experiment.VALIDATE, instance_spec=SMALL_GAUSSIAN, mc_samples=samples)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,49 @@ class TestChannelBlocks:
         assert report.analytic_mse == evaluate(self.INSTANCE, self.BITS).objective
         assert report.empirical_mse == pytest.approx(mse, rel=1e-12)
         assert report.standard_error == pytest.approx(mse_se, rel=1e-12)
+
+    # Values of the simulation before its block loop ran in reused buffers;
+    # the in-place rewrite keeps every float operation and its order.
+    PINNED = {
+        DitherMode.NON_SUBTRACTIVE: (
+            "0.0023864563998772007",
+            "3.422636722942555e-05",
+            "e08caca9c851410583b2f6ea33e170dbe5f63db137739c7909f1f197c67295ee",
+            "b5e3c02abb45aceecebbbe0ecded1475c9c7efdd2322824c4f716ea5e1436be6",
+        ),
+        DitherMode.SUBTRACTIVE: (
+            "0.001225172716120145",
+            "1.7616610563320438e-05",
+            "8a9811de7a067fc446066341f025f9500ca73ba80818a34973757a2ad9f4a220",
+            "318f63abb38e8d73a53be72b026b8c8d3139f0a1f6ef3b19411e73c9a5f5172e",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", list(DitherMode))
+    def test_pinned_bytes(self, mode):
+        bank = QuantizerBank.for_allocation(self.INSTANCE, self.BITS, mode, seed=17)
+        report = simulate_lmmse(self.INSTANCE, self.BITS, 2_000, bank)
+        assert (
+            repr(report.empirical_mse),
+            repr(report.standard_error),
+            hashlib.sha256(report.empirical_error_mean.tobytes()).hexdigest(),
+            hashlib.sha256(report.empirical_error_se.tobytes()).hexdigest(),
+        ) == self.PINNED[mode]
+
+    def test_peak_memory_of_reused_block_buffers(self):
+        # Three block buffers of _CHANNEL_BLOCK rows and a few d x n arrays;
+        # one temporary per elementwise step would add a block buffer each.
+        d, m, n = 5, 2_000, 5_000
+        instance = random_instance(42, d=d, m=m)
+        bits = np.full(m, 2.0)
+        bank = QuantizerBank.for_allocation(instance, bits, DitherMode.SUBTRACTIVE, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_lmmse(instance, bits, n, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (4 * 64 * n + 4 * d * n)
 
     def test_peak_memory_below_quarter_of_one_channel_array(self):
         d, m, n = 5, 2_000, 5_000
