@@ -8,21 +8,23 @@ relative to the objective at the start point, which is minimizing F / f(b0)
 takes the same steps.  mu goes from 1 by a factor of 10 per stage to the
 configured final value.  Each subproblem is minimized by Newton steps on the
 exact Hessian of that merit, grad^2 F + diag(w/b^2) + (w/s^2) 11', where
-grad^2 F comes from the factor the step's evaluation already holds: O(m^2 d)
-to build and O(m^3) to factor per step.  The paper's solver approximates it
-by L-BFGS instead.  F is nonconvex in bit space, so a multiple of the
-identity is added until the Newton matrix factors.  Armijo backtracking on
-objective-only trials, capped by the fraction to the boundary, keeps every
-iterate strictly interior.  No trial moves a coordinate by more than
-_MAX_BIT_STEP = 4 bits: a quadratic model of 4**b is not trustworthy further
-out, and a regularized step can be a thousand bits long, where the
-information matrix no longer factors.
+grad^2 F is built from the G = H C of the step's evaluation: O(m^2 d) to
+build, O(m^3) to factor.  The paper's solver approximates it by L-BFGS.
+grad^2 F is a positive semidefinite Schur product plus diag(ln(4) grad F),
+and grad F < 0, so that diagonal is the only indefinite term; where the
+merit Hessian does not factor, it is dropped, which leaves a positive
+definite matrix (a Hessian modification, Nocedal & Wright, sec. 3.4): at
+most two factorizations per step.  Armijo backtracking on objective-only
+trials, capped by the fraction to the boundary, keeps every iterate strictly
+interior.  No trial moves a coordinate by more than _MAX_BIT_STEP = 4 bits:
+a quadratic model of 4**b is not trustworthy further out.
 
 The slack is its own variable, updated by s -= t * sum(p): recomputed as
 B - sum b, its cancellation puts an error of about w * ulp(B) / s^2 into the
 gradient, above the tolerance near the final mu.  When the predicted
 decrease -g'p is below what merit values resolve (_VALUE_NOISE relative to
-f(b0) or the merit), the capped Newton step is taken without trials.
+f(b0) or the merit: F carries 2e-10 relative rounding noise on d=50 grids at
+7 bits per sensor), the capped Newton step is taken without trials.
 
 A solve is ``gap-converged`` only if the final stage meets its gradient
 tolerance of 1e-8 * f(b0), ``max-iterations`` if that stage runs out of inner
@@ -43,6 +45,7 @@ import numpy as np
 from . import model
 from ._blas import single_blas_thread
 from .model import (
+    LN4,
     BitAllocationError,
     BitRangeError,
     BitVector,
@@ -62,7 +65,7 @@ _MAX_INNER_ITERATIONS = 500
 _ARMIJO_C1 = 1e-4
 _BOUNDARY_FRACTION = 0.995
 _MAX_BACKTRACKS = 60
-_VALUE_NOISE = 1e-10
+_VALUE_NOISE = 1e-8
 # Intermediate subproblems only need to track the central path to O(mu).
 _PATH_TRACK_FACTOR = 1e-2
 _MAX_BIT_STEP = 4.0
@@ -146,19 +149,16 @@ def _merit_value(instance, mu, b, slack):
 
 
 def _newton_direction(instance, mu, b, slack, grad, ev):
-    """Solve (grad^2 merit + delta I) p = -grad with the smallest delta that factors."""
+    """Solve grad^2 merit p = -grad; where that matrix is indefinite, drop diag(ln(4) grad F) from it."""
     hess = model.objective_hessian(instance, ev) + mu / (slack * slack)
     diagonal = np.diag_indices_from(hess)
     hess[diagonal] += mu / (b * b)
-    delta, floor = 0.0, 1e-12 * float(np.max(np.abs(hess[diagonal])))
-    eye = np.eye(len(b))
-    while True:
-        try:
-            return -model.cholesky_solve(model.cholesky_lower(hess + delta * eye), grad)
-        except FactorizationError:
-            if not math.isfinite(delta):
-                raise
-            delta = max(10.0 * delta, floor)
+    try:
+        factor = model.cholesky_lower(hess)
+    except FactorizationError:
+        hess[diagonal] -= LN4 * ev.gradient
+        factor = model.cholesky_lower(hess)
+    return -model.cholesky_solve(factor, grad)
 
 
 def _fraction_to_boundary(b, p, slack, advance):

@@ -81,12 +81,16 @@ class ExperimentPlan:
             raise ValueError("threads must be at least 1")
         if self.mc_samples < 2:
             raise ValueError("samples must be at least 2 for a standard error")
+        if not self.time_limit > 0.0:  # also rejects NaN
+            raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if self.experiment in (Experiment.UNIFORM_SWEEP, Experiment.SENSOR_SCALING):
+            uniform = self.experiment is Experiment.UNIFORM_SWEEP
             if self.sweep_values is None:
-                uniform = self.experiment is Experiment.UNIFORM_SWEEP
                 object.__setattr__(self, "sweep_values", DEFAULT_BUDGET_SWEEP if uniform else DEFAULT_RATIO_SWEEP)
             elif not self.sweep_values:
                 raise ValueError(f"{self.experiment.value} needs a nonempty sweep")
+            if not all(np.isfinite(v) and (v >= 0.0 if uniform else v > 0.0) for v in self.sweep_values):
+                raise ValueError(f"{self.experiment.value} sweep needs finite values {'>=' if uniform else '>'} 0")
         if self.experiment is Experiment.SENSOR_SCALING and self.instance_spec.kind is not InstanceKind.RANDOM_GAUSSIAN:
             raise ValueError("sensor-scaling sweeps m on random-gaussian instances only")
 

@@ -43,7 +43,6 @@ from .model import (
     FactorizationError,
     ProblemInstance,
     allocation_array,
-    cholesky_solve,
     evaluate,
     lipschitz_constant,
 )
@@ -221,7 +220,7 @@ class _State:
     def __init__(self, instance: ProblemInstance, bits: np.ndarray):
         ev = evaluate(instance, bits)
         self.sensing = instance.sensing_matrix
-        self.cov_h = np.ascontiguousarray(cholesky_solve(ev.factor, self.sensing.T).T)
+        self.cov_h = ev.cov_h
         self.objective = ev.objective
         self.rho = ev.precisions
         self.gradient = ev.gradient

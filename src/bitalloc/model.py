@@ -8,11 +8,12 @@ state estimate, to be driven down subject to a total bit budget.
 
 This module owns the instance container and the evaluation kernel: objective
 value, analytic gradient, a global Lipschitz constant for the gradient, and the
-dense bit-space Hessian behind the barrier's Newton steps: O(m^2 d) to build
-from an evaluation's factor, O(m^3) for the barrier to factor, per step.
-One call to :func:`evaluate` costs exactly one Cholesky factorization of the
-d x d information matrix, whose triangular inverse from LAPACK ``dtrtri``
-gives both the objective and the gradient; all factorizations are routed
+dense bit-space Hessian behind the barrier's Newton steps.  One call to
+:func:`evaluate` costs exactly one Cholesky factorization of the d x d
+information matrix, whose triangular inverse from LAPACK ``dtrtri`` gives the
+objective and G = H C.  The evaluation keeps G: the gradient is read from it,
+and so is the Hessian ln(4)^2 * 2 (rho o GH') o (GG' o rho) + diag(ln(4) grad)
+(o elementwise), in O(m^2 d) and with no further solve.  All factorizations are routed
 through :func:`cholesky_lower` so tests can count or sabotage them.  The kernel does not pin BLAS threads
 itself: its callers, the solvers and :func:`hessian_exact`, run inside
 :func:`~bitalloc._blas.single_blas_thread`.
@@ -223,12 +224,13 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Objective, gradient, and factorization byproducts at one allocation."""
+    """Objective, gradient, precisions, information-matrix Cholesky factor and G = H C at one allocation."""
 
     objective: float
     gradient: np.ndarray
     precisions: np.ndarray
     factor: np.ndarray
+    cov_h: np.ndarray
 
     def __post_init__(self):
         if self.objective <= 0.0:
@@ -290,7 +292,7 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     cov_h = instance.sensing_matrix @ (inv_factor.T @ inv_factor)
     quad = np.einsum("ij,ij->i", cov_h, cov_h)
     gradient = -LN4 * rho * quad
-    return Evaluation(objective=objective, gradient=gradient, precisions=rho, factor=factor)
+    return Evaluation(objective=objective, gradient=gradient, precisions=rho, factor=factor, cov_h=cov_h)
 
 
 def objective_value(instance: ProblemInstance, bits) -> float:
@@ -311,27 +313,21 @@ def lipschitz_constant(instance: ProblemInstance) -> float:
 
 
 def objective_hessian(instance: ProblemInstance, ev: Evaluation) -> np.ndarray:
-    """Dense Hessian of the objective in bit space, from an Evaluation's factor.
+    """Dense Hessian of the objective in bit space, from an Evaluation's G = H C.
 
-    No factorization: it forms two m x m matrices of sensor cross terms from
-    the Cholesky factor the evaluation already holds, at O(m^2 d) cost.  In
-    precision space the objective is convex with second derivatives
-    2 * (h_i' C h_j) * (h_i' C^2 h_j); the chain rule through 4**b adds a
-    diagonal term that is always nonpositive, which is what makes the
-    bit-space problem nonconvex.  Symmetrized after assembly to kill roundoff
-    asymmetry.
+    No solve: X = G H' (h_i' C h_j) and Y = G G' (h_i' C^2 h_j) cost O(m^2 d).
+    The Hessian is ln(4)^2 * 2 (rho o X) o (Y o rho) + diag(ln(4) * gradient).
+    Its first term is positive semidefinite (Schur product theorem), and the
+    negative diagonal from the chain rule through 4**b is what makes the
+    bit-space problem nonconvex.  Symmetrized to kill roundoff asymmetry.
     """
     rho = ev.precisions
-    h = instance.sensing_matrix
-    cov_ht = cholesky_solve(ev.factor, h.T)  # C_eps H', d x m
-    cross_cov = h @ cov_ht  # (i, j) -> h_i' C h_j
-    cross_cov_sq = cov_ht.T @ cov_ht  # (i, j) -> h_i' C^2 h_j
-    df_drho = -np.diag(cross_cov_sq).copy()
-    diag_term = np.diag(rho * df_drho)
+    cross = ev.cov_h @ instance.sensing_matrix.T
+    cross_sq = ev.cov_h @ ev.cov_h.T
     # Scale each factor separately; the balanced products stay representable
     # even when allocations differ by hundreds of bits.
-    curvature = 2.0 * (rho[:, None] * cross_cov) * (cross_cov_sq * rho[None, :])
-    hess = LN4 * LN4 * (diag_term + curvature)
+    hess = (2.0 * LN4 * LN4) * (rho[:, None] * cross) * (cross_sq * rho[None, :])
+    hess[np.diag_indices_from(hess)] += LN4 * ev.gradient
     return 0.5 * (hess + hess.T)
 
 

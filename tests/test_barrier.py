@@ -109,6 +109,34 @@ class TestSolve:
             ratios.append(len(calls) / trace.iterations)
         assert np.median(ratios) <= 4.0
 
+    def test_newton_matrix_factored_at_most_twice(self, monkeypatch):
+        # the merit Hessian, and only when that is indefinite, the same matrix
+        # without its one indefinite term, diag(ln(4) * gradient)
+        per_direction, calls = [], []
+        original_factor, original_direction = model_mod.cholesky_lower, barrier_mod._newton_direction
+
+        def factor(a):
+            calls.append(a.shape)
+            return original_factor(a)
+
+        def direction(instance, *args):
+            calls.clear()
+            p = original_direction(instance, *args)
+            per_direction.append(sum(shape == (instance.m, instance.m) for shape in calls))
+            return p
+
+        monkeypatch.setattr(model_mod, "cholesky_lower", factor)
+        monkeypatch.setattr(barrier_mod, "_newton_direction", direction)
+        specs = [InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=seed) for seed in range(705, 710)]
+        specs += [
+            InstanceSpec(InstanceKind.RANDOM_GAUSSIAN, d=8, m=20, kappa=KappaRange(1e-6, 1e6), seed=seed)
+            for seed in range(5)
+        ]
+        for spec in specs:
+            solve_barrier(generate(spec))
+        assert per_direction and min(per_direction) >= 1
+        assert max(per_direction) <= 2
+
     def test_agreement_with_conditional_gradient(self):
         # square case: the optimum is interior to the budget face, where the
         # conditional-gradient method converges without boundary drift
@@ -211,6 +239,16 @@ class TestScaleFree:
             spec = InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=seed, budget_per_sensor=2.0)
             solve_barrier(generate(spec), BarrierConfig(mu_final=1e-11))
         assert raised == []
+
+    @pytest.mark.parametrize("seed", [864060812, 1909068573, 324519002, 867255589])
+    def test_final_stage_converges_below_merit_noise(self, seed):
+        # at 7 bits per sensor these grids put about 2e-10 relative rounding noise
+        # into F, above the predicted decrease of the final stage's steps; Armijo on
+        # merit values alone backtracked to no step and ran 500 inner iterations
+        spec = InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=seed, budget_per_sensor=7.0)
+        trace, _ = solve_barrier(generate(spec), BarrierConfig(mu_final=1e-11))
+        assert trace.termination is Termination.GAP_CONVERGED
+        assert trace.iterations < 200
 
 
 class TestConfigValidation:

@@ -74,6 +74,28 @@ def test_too_few_samples_is_plan_error(samples, capsys):
     assert "samples must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--time-limit", "0"],
+        ["solve", "--time-limit", "-1"],
+        ["solve", "--time-limit", "nan"],
+        ["uniform-sweep", "--sweep", "-1"],
+        ["uniform-sweep", "--sweep", "2,nan"],
+        ["uniform-sweep", "--sweep", "inf"],
+        ["sensor-scaling", "--sweep", "-5"],
+        ["sensor-scaling", "--sweep", "0"],
+        ["sensor-scaling", "--sweep", "nan"],
+    ],
+)
+def test_bad_plan_values_are_plan_errors(argv, capsys):
+    code = main(argv + ["--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PLAN_ERROR
+    assert "plan error" in err
+    assert "Traceback" not in err
+
+
 def test_bad_flag_exits_one():
     with pytest.raises(SystemExit) as exc_info:
         main(["solve", "--solver", "simplex"])

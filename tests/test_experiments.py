@@ -227,6 +227,29 @@ class TestPlanValidation:
                 experiment=Experiment.UNIFORM_SWEEP, instance_spec=SMALL_GRID, sweep_values=()
             )
 
+    @pytest.mark.parametrize("time_limit", [0.0, -1.0, float("nan")])
+    def test_time_limit_positive(self, time_limit):
+        with pytest.raises(ValueError, match="time limit"):
+            ExperimentPlan(experiment=Experiment.SOLVE, instance_spec=SMALL_GRID, time_limit=time_limit)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_uniform_sweep_budgets_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="finite values >= 0"):
+            ExperimentPlan(
+                experiment=Experiment.UNIFORM_SWEEP, instance_spec=SMALL_GRID, sweep_values=(2.0, value)
+            )
+
+    def test_uniform_sweep_allows_zero_budget(self):
+        plan = ExperimentPlan(experiment=Experiment.UNIFORM_SWEEP, instance_spec=SMALL_GRID, sweep_values=(0.0,))
+        assert plan.sweep_values == (0.0,)
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
+    def test_sensor_scaling_ratios_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="finite values > 0"):
+            ExperimentPlan(
+                experiment=Experiment.SENSOR_SCALING, instance_spec=SMALL_GAUSSIAN, sweep_values=(value,)
+            )
+
     def test_sensor_scaling_rejects_other_kinds(self):
         # the sweep sets m = ratio * d, which only a Gaussian spec can take
         with pytest.raises(ValueError, match="random-gaussian"):

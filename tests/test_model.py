@@ -299,6 +299,19 @@ class TestHessian:
 
 
 @settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), identity_prior=st.booleans())
+def test_hessian_is_psd_plus_its_gradient_diagonal_property(seed, identity_prior):
+    # the barrier's fallback drops diag(ln(4) * gradient) and relies on the rest being PSD
+    rng = np.random.default_rng(seed)
+    inst = random_instance(seed, d=int(rng.integers(1, 9)), m=int(rng.integers(1, 13)), identity_prior=identity_prior)
+    ev = evaluate(inst, random_feasible_bits(rng, inst))
+    schur = model.objective_hessian(inst, ev) - LN4 * np.diag(ev.gradient)
+    assert np.linalg.eigvalsh(schur)[0] >= -1e-12 * np.abs(schur).max()
+    solved = model.cholesky_solve(ev.factor, inst.sensing_matrix.T).T
+    assert np.abs(ev.cov_h - solved).max() <= 1e-12 * np.abs(solved).max()
+
+
+@settings(max_examples=50, deadline=None)
 @given(bits=st.lists(st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=6))
 def test_objective_positive_and_bounded_property(bits):
     m = len(bits)
