@@ -168,7 +168,7 @@ def _fraction_to_boundary(b, p, slack, advance):
         t_max = min(t_max, _BOUNDARY_FRACTION * float(np.min(b[neg] / -p[neg])))
     if advance > 0.0:
         t_max = min(t_max, _BOUNDARY_FRACTION * slack / advance)
-    return t_max
+    return float(t_max)
 
 
 @single_blas_thread()

@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--out", help="summary CSV path; aggregates/traces land next to it")
         sub.add_argument("--seed", type=int, default=0, help="plan seed; trial t uses seed+t")
-        sub.add_argument("--threads", type=int, default=1, help="worker threads across trials")
+        sub.add_argument("--threads", type=int, default=1, help="worker processes across trials")
         if experiment is not Experiment.VALIDATE:  # validate draws one instance and runs no solver
             sub.add_argument("--trials", type=int, default=30, help="independent trials (default %(default)s)")
             sub.add_argument(

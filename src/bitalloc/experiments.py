@@ -3,12 +3,12 @@
 Every experiment expands into an ordered list of independent tasks (one per
 trial, or per sweep-value x trial).  Trial t draws its instance from
 seed = plan_seed + t, recorded in the output, so any single row can be rerun
-in isolation.  Tasks may execute on a thread pool; row order follows task
-order regardless of completion order, and all randomness is seeded, so a
-plan's non-timing output is reproducible byte for byte.  Timing output is
-every column ending in ``_seconds``, plus the aggregates of such columns:
-compare's ``statistic`` rows ``fw_seconds`` and ``barrier_seconds``, and
-sensor-scaling's ``iqr_low`` and ``iqr_high``.
+in isolation.  Tasks may execute on a pool of forked worker processes; row
+order follows task order regardless of completion order, and all randomness
+is seeded, so a plan's non-timing output is reproducible byte for byte.
+Timing output is every column ending in ``_seconds``, plus the aggregates of
+such columns: compare's ``statistic`` rows ``fw_seconds`` and
+``barrier_seconds``, and sensor-scaling's ``iqr_low`` and ``iqr_high``.
 
 Individual trial failures are recorded in the row's ``error`` column and do
 not abort the plan; a plan whose trials all fail exits with code 2.
@@ -16,9 +16,11 @@ not abort the plan; a plan whose trials all fail exits with code 2.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -108,11 +110,31 @@ def _quantiles(values) -> tuple[float, float, float]:
     return statistics.median(data), float(np.percentile(data, 25)), float(np.percentile(data, 75))
 
 
+def _adopt(worker, tasks):
+    # pool initializer: sets the global in each forked worker, never in the caller
+    global _TASKS
+    _TASKS = worker, tasks
+
+
+def _run_task(index: int):
+    worker, tasks = _TASKS
+    return worker(tasks[index])
+
+
 def _run_tasks(tasks, worker, threads: int):
-    if threads <= 1:
+    """Run ``worker`` over ``tasks`` in task order, on up to ``threads`` forked processes.
+
+    Fork hands ``worker`` (often a closure) and ``tasks`` to every process
+    unpickled; only task indices and results cross the pipe.  What a worker
+    records on the side, such as a tracer's spans, stays in that worker.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, len(tasks), cpus)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [worker(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_adopt, initargs=(worker, tasks)) as pool:
+        return list(pool.map(_run_task, range(len(tasks))))
 
 
 @single_blas_thread()

@@ -1,3 +1,8 @@
+import csv
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -181,6 +186,60 @@ class TestDeterminism:
         assert drop_timing(run(base).records) == drop_timing(run(threaded).records)
 
 
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def untimed(trace):
+    iterates = tuple(replace(rec, elapsed_seconds=0.0) for rec in trace.iterates)
+    return iterates, trace.final_bits.bits.tolist(), trace.termination, trace.certificate
+
+
+class TestProcessPool:
+    def test_pool_never_larger_than_tasks_or_cpus(self, monkeypatch):
+        sizes = []
+
+        class Inline:
+            """Records the pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(experiments, "_TASKS", None, raising=False)
+        plan = ExperimentPlan(Experiment.ROUNDING_GAP, SMALL_GRID, trials=2, seed=11, threads=10_000)
+        assert run(plan).exit_code == EXIT_OK
+        assert all(size <= min(2, USABLE_CPUS) for size in sizes)
+        assert len(sizes) == (USABLE_CPUS > 1)
+
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="a pool of one worker runs serially")
+    def test_processes_match_serial_traces_and_exit(self, monkeypatch):
+        pools = []
+
+        class Recording(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+        plan = ExperimentPlan(experiment=Experiment.SOLVE, instance_spec=SMALL_GRID, trials=2, seed=9)
+        serial = run(plan)
+        forked = run(replace(plan, threads=2))
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        assert drop_timing(forked.records) == drop_timing(serial.records)
+        assert [(t, s) for t, s, _ in forked.traces] == [(t, s) for t, s, _ in serial.traces]
+        assert [untimed(trace) for *_, trace in forked.traces] == [untimed(trace) for *_, trace in serial.traces]
+
+
 class TestOutputs:
     def test_files_written(self, tmp_path):
         out = tmp_path / "solve.csv"
@@ -199,6 +258,26 @@ class TestOutputs:
         assert (tmp_path / "solve.trace-0-barrier.csv").exists()
         header = out.read_text().splitlines()[0]
         assert header.startswith("trial,seed,solver")
+
+    def test_barrier_trace_cells_are_numbers(self, tmp_path):
+        # seed 5 takes steps capped by the budget slack's fraction to the boundary
+        plan = ExperimentPlan(
+            experiment=Experiment.SOLVE,
+            instance_spec=SMALL_GRID,
+            trials=2,
+            seed=5,
+            solver=SolverChoice.BARRIER,
+            output_path=str(tmp_path / "solve.csv"),
+        )
+        write_outputs(plan, run(plan))
+        traces = sorted(tmp_path.glob("solve.trace-*-barrier.csv"))
+        assert len(traces) == 2
+        for path in traces:
+            with path.open(newline="") as handle:
+                for row in csv.DictReader(handle):
+                    for name, cell in row.items():
+                        if cell or name not in ("vertex", "barrier_mu"):
+                            float(cell)
 
     def test_no_output_path_is_noop(self):
         plan = ExperimentPlan(

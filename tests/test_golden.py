@@ -125,6 +125,15 @@ def test_matches_golden(name, tmp_path):
         assert text == expected[filename], filename
 
 
+def test_all_failed_plan_on_worker_processes():
+    plan, exit_code = CASES["rounding-gap-all-failed"]
+    result = run(replace(plan, threads=2))
+    assert result.exit_code == exit_code == EXIT_ALL_FAILED
+    errors = [row["error"] for row in result.records]
+    assert len(errors) == 2 and all(errors)
+    assert errors == [row["error"] for row in run(plan).records]
+
+
 if __name__ == "__main__":
     import tempfile
 
