@@ -14,10 +14,11 @@ grad^2 F is a positive semidefinite Schur product plus diag(ln(4) grad F),
 and grad F < 0, so that diagonal is the only indefinite term; where the
 merit Hessian does not factor, it is dropped, which leaves a positive
 definite matrix (a Hessian modification, Nocedal & Wright, sec. 3.4): at
-most two factorizations per step.  Armijo backtracking on objective-only
-trials, capped by the fraction to the boundary, keeps every iterate strictly
-interior.  No trial moves a coordinate by more than _MAX_BIT_STEP = 4 bits:
-a quadratic model of 4**b is not trustworthy further out.
+most two factorizations per step.  Armijo backtracking, capped by the
+fraction to the boundary, keeps every iterate strictly interior; a trial is
+one evaluation of F, kept as the iterate's when accepted.  No trial moves a
+coordinate by more than _MAX_BIT_STEP = 4 bits: a quadratic model of 4**b is
+not trustworthy further out.
 
 The slack is its own variable, updated by s -= t * sum(p): recomputed as
 B - sum b, its cancellation puts an error of about w * ulp(B) / s^2 into the
@@ -124,28 +125,26 @@ def _interior_or_raise(instance: ProblemInstance, bits) -> np.ndarray:
 def barrier_objective(instance: ProblemInstance, bits, mu: float) -> tuple[float, np.ndarray]:
     """Value and gradient of F(b) - mu*sum(log b) - mu*log(B - sum b)."""
     arr = _interior_or_raise(instance, bits)
-    value, gradient, _ = _merit(instance, mu, arr, instance.budget - arr.sum())
-    return value, gradient
+    return _merit(evaluate(instance, arr), mu, arr, instance.budget - arr.sum())
 
 
-def _merit(instance, mu, b, slack):
-    """Barrier merit at (b, slack), its gradient in b, and the Evaluation of F."""
-    ev = evaluate(instance, b)
+def _merit(ev, mu, b, slack):
+    """Barrier merit at (b, slack) and its gradient in b, from the Evaluation of F at b."""
     value = ev.objective - mu * float(np.log(b).sum()) - mu * math.log(slack)
-    return value, ev.gradient - mu / b + mu / slack, ev
+    return value, ev.gradient - mu / b + mu / slack
 
 
-def _merit_value(instance, mu, b, slack):
-    """Merit alone for a line-search trial; infinite where it is undefined."""
+def _trial(instance, mu, b, slack):
+    """Merit, gradient and Evaluation at a line-search trial; an infinite merit where it is undefined."""
     if np.any(b <= 0.0) or slack <= 0.0:
-        return np.inf
+        return np.inf, None, None
     try:
-        f = objective_value(instance, b)
+        ev = evaluate(instance, b)
     except (BitRangeError, FactorizationError):
         # extreme trial allocations can overflow 4**b or lose definiteness
         # in floating point; treat as off-limits
-        return np.inf
-    return f - mu * float(np.log(b).sum()) - mu * math.log(slack)
+        return np.inf, None, None
+    return (*_merit(ev, mu, b, slack), ev)
 
 
 def _newton_direction(instance, mu, b, slack, grad, ev):
@@ -178,7 +177,8 @@ def solve_barrier(
     """Drive mu down a geometric schedule, solving each subproblem in turn.
 
     Intermediate subproblems are solved loosely (enough to track the central
-    path); the final one runs at the configured tolerance.  Returns the trace
+    path); the final one runs at the configured tolerance.  F does not depend
+    on mu: a stage starts from the Evaluation already held.  Returns the trace
     of accepted inner steps and the central-path KKT certificate.
     """
     cfg = config or BarrierConfig()
@@ -202,13 +202,14 @@ def solve_barrier(
     mus.append(cfg.mu_final)
 
     scale = objective_value(instance, b)
+    ev = evaluate(instance, b)
     out_of_time = False
     for stage, mu in enumerate(mus):
         weight = mu * scale
         tol = _INNER_GRADIENT_TOLERANCE * scale
         if stage < len(mus) - 1:
             tol = max(tol, _PATH_TRACK_FACTOR * weight)
-        val, grad, ev = _merit(instance, weight, b, slack)
+        val, grad = _merit(ev, weight, b, slack)
         grad_norm = float(np.max(np.abs(grad)))
         for inner in range(_MAX_INNER_ITERATIONS):
             if grad_norm <= tol:
@@ -220,10 +221,11 @@ def solve_barrier(
             advance = float(p.sum())
             t = _fraction_to_boundary(b, p, slack, advance)
             directional = float(grad @ p)
+            trial = None
             if -directional > _VALUE_NOISE * max(scale, abs(val)):
                 for _ in range(_MAX_BACKTRACKS):
-                    trial = _merit_value(instance, weight, b + t * p, slack - t * advance)
-                    if trial <= val + _ARMIJO_C1 * t * directional:
+                    trial = _trial(instance, weight, b + t * p, slack - t * advance)
+                    if trial[0] <= val + _ARMIJO_C1 * t * directional:
                         break
                     t *= 0.5
                 else:
@@ -236,7 +238,10 @@ def solve_barrier(
                     )
             b = b + t * p
             slack -= t * advance
-            val, grad, ev = _merit(instance, weight, b, slack)
+            if trial is None:  # a step below the merit's noise skips the trials
+                ev = evaluate(instance, b)
+                trial = (*_merit(ev, weight, b, slack), ev)
+            val, grad, ev = trial
             grad_norm = float(np.max(np.abs(grad)))
             records.append(IterationRecord(len(records), ev.objective, grad_norm, t, None, mu, clock() - t0))
         if out_of_time:
@@ -258,10 +263,4 @@ def solve_barrier(
         stationarity_residual=grad_norm,
         complementarity_residual=float(np.max(bound_multipliers * b)),
     )
-    trace = SolveTrace(
-        iterates=tuple(records),
-        final_bits=BitVector(b),
-        termination=termination,
-        certificate=None,
-    )
-    return trace, certificate
+    return SolveTrace(tuple(records), BitVector(b), termination), certificate

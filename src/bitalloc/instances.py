@@ -49,8 +49,8 @@ class KappaRange:
     high: float = 1.2
 
     def __post_init__(self):
-        if not 0.0 < self.low <= self.high:
-            raise ValueError(f"need 0 < low <= high, got [{self.low}, {self.high}]")
+        if not 0.0 < self.low <= self.high < math.inf:
+            raise ValueError(f"need 0 < low <= high < inf, got [{self.low}, {self.high}]")
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class InstanceSpec:
                 raise ValueError("m must be a positive integer")
         elif not self.paths or "sensing_matrix" not in self.paths:
             raise ValueError("from-files specs need paths.sensing_matrix")
-        if self.budget_per_sensor < 0.0:
-            raise ValueError("budget_per_sensor must be nonnegative")
+        if not 0.0 <= self.budget_per_sensor < math.inf:
+            raise ValueError(f"budget_per_sensor must be finite and nonnegative, got {self.budget_per_sensor}")
 
 
 def load_spec(path) -> InstanceSpec:

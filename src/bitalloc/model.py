@@ -11,12 +11,12 @@ value, analytic gradient, a global Lipschitz constant for the gradient, and the
 dense bit-space Hessian behind the barrier's Newton steps.  One call to
 :func:`evaluate` costs exactly one Cholesky factorization of the d x d
 information matrix, whose triangular inverse from LAPACK ``dtrtri`` gives the
-objective and G = H C.  The evaluation keeps G: the gradient is read from it,
-and so is the Hessian ln(4)^2 * 2 (rho o GH') o (GG' o rho) + diag(ln(4) grad)
-(o elementwise), in O(m^2 d) and with no further solve.  All factorizations are routed
-through :func:`cholesky_lower` so tests can count or sabotage them.  The kernel does not pin BLAS threads
-itself: its callers, the solvers and :func:`hessian_exact`, run inside
-:func:`~bitalloc._blas.single_blas_thread`.
+objective and G = H C.  The evaluation keeps G, not the factor; the gradient
+and the Hessian ln(4)^2 * 2 (rho o GH') o (GG' o rho) + diag(ln(4) grad) (o
+elementwise) are read from G in O(m^2 d), with no further solve.  Every
+factorization goes through :func:`cholesky_lower`, so tests can count or
+sabotage them.  The kernel does not pin BLAS threads: its callers, the solvers
+and :func:`hessian_exact`, run inside :func:`~bitalloc._blas.single_blas_thread`.
 """
 
 from __future__ import annotations
@@ -224,12 +224,11 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Objective, gradient, precisions, information-matrix Cholesky factor and G = H C at one allocation."""
+    """Objective, gradient, precisions and G = H C at one allocation."""
 
     objective: float
     gradient: np.ndarray
     precisions: np.ndarray
-    factor: np.ndarray
     cov_h: np.ndarray
 
     def __post_init__(self):
@@ -260,8 +259,8 @@ def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
     return instance.kappa * 4.0 ** arr
 
 
-def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Precisions, information-matrix Cholesky factor, its inverse and the objective: one factorization."""
+def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, float]:
+    """Precisions, the inverse of the information matrix's Cholesky factor and the objective: one factorization."""
     rho = precision_from_bits(instance, bits)
     scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
     info = instance.prior_inverse + scaled.T @ scaled
@@ -269,7 +268,7 @@ def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, 
     inv_factor, status = dtrtri(factor, lower=1)
     if status != 0:
         raise FactorizationError(f"triangular inverse failed (info {status})")
-    return rho, factor, inv_factor, float(np.sum(inv_factor * inv_factor))
+    return rho, inv_factor, float(np.sum(inv_factor * inv_factor))
 
 
 def evaluate(instance: ProblemInstance, bits) -> Evaluation:
@@ -288,20 +287,20 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     allowed (the objective is defined on all of R^m); values above MAX_BITS
     raise BitRangeError before they can overflow.
     """
-    rho, factor, inv_factor, objective = _assemble(instance, bits)
+    rho, inv_factor, objective = _assemble(instance, bits)
     cov_h = instance.sensing_matrix @ (inv_factor.T @ inv_factor)
     quad = np.einsum("ij,ij->i", cov_h, cov_h)
     gradient = -LN4 * rho * quad
-    return Evaluation(objective=objective, gradient=gradient, precisions=rho, factor=factor, cov_h=cov_h)
+    return Evaluation(objective=objective, gradient=gradient, precisions=rho, cov_h=cov_h)
 
 
 def objective_value(instance: ProblemInstance, bits) -> float:
     """Objective alone, skipping the gradient extraction.
 
-    Same single-factorization cost structure as :func:`evaluate`; used by
-    line searches that probe many trial points before committing to one.
+    Same single-factorization cost structure as :func:`evaluate`; the
+    barrier takes its scale f(b0) from it.
     """
-    return _assemble(instance, bits)[3]
+    return _assemble(instance, bits)[2]
 
 
 def lipschitz_constant(instance: ProblemInstance) -> float:

@@ -137,6 +137,33 @@ class TestSolve:
         assert per_direction and min(per_direction) >= 1
         assert max(per_direction) <= 2
 
+    def test_one_evaluation_per_point(self, monkeypatch):
+        # an accepted trial's Evaluation becomes the iterate's, and a stage starts
+        # from the one already held: no allocation is factored twice
+        evaluated, values = [], []
+        original_evaluate, original_value = barrier_mod.evaluate, barrier_mod.objective_value
+
+        def evaluate(instance, bits):
+            evaluated.append(np.asarray(bits).tobytes())
+            return original_evaluate(instance, bits)
+
+        def value(instance, bits):
+            values.append(1)
+            return original_value(instance, bits)
+
+        monkeypatch.setattr(barrier_mod, "evaluate", evaluate)
+        monkeypatch.setattr(barrier_mod, "objective_value", value)
+        for spec in (
+            InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=700),
+            InstanceSpec(InstanceKind.RANDOM_GAUSSIAN, d=8, m=20, kappa=KappaRange(1e-6, 1e6), seed=0),
+        ):
+            evaluated.clear()
+            values.clear()
+            trace, _ = solve_barrier(generate(spec))
+            assert trace.iterations > 0
+            assert len(set(evaluated)) == len(evaluated)
+            assert len(values) == 1
+
     def test_agreement_with_conditional_gradient(self):
         # square case: the optimum is interior to the budget face, where the
         # conditional-gradient method converges without boundary drift
@@ -225,7 +252,7 @@ class TestScaleFree:
         # on these grids an uncapped Newton step on an indefinite merit Hessian runs
         # hundreds of bits out, to trials whose information matrix does not factor
         raised = []
-        original = barrier_mod.objective_value
+        original = barrier_mod.evaluate
 
         def recording(instance, bits):
             try:
@@ -234,7 +261,7 @@ class TestScaleFree:
                 raised.append(exc)
                 raise
 
-        monkeypatch.setattr(barrier_mod, "objective_value", recording)
+        monkeypatch.setattr(barrier_mod, "evaluate", recording)
         for seed in (1876105222, 1070547931, 303800737):
             spec = InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=seed, budget_per_sensor=2.0)
             solve_barrier(generate(spec), BarrierConfig(mu_final=1e-11))

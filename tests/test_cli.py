@@ -96,6 +96,26 @@ def test_bad_plan_values_are_plan_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": float("nan")},
+        {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": float("inf")},
+        # rng.uniform(0.5, inf) raised a raw OverflowError out of instance generation
+        {"kind": "grid-laplacian", "d": 5, "kappa": {"low": 0.5, "high": float("inf")}},
+    ],
+    ids=["nan-budget", "inf-budget", "inf-kappa"],
+)
+def test_non_finite_config_is_plan_error(spec, tmp_path, capsys):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(spec))
+    code = main(["solve", "--config", str(config), "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PLAN_ERROR
+    assert "plan error" in err
+    assert "Traceback" not in err
+
+
 def test_bad_flag_exits_one():
     with pytest.raises(SystemExit) as exc_info:
         main(["solve", "--solver", "simplex"])

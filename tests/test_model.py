@@ -197,16 +197,6 @@ class TestEvaluate:
         evaluate(inst, bits)
         assert len(calls) == 1
 
-    def test_factor_is_reusable(self, rng):
-        inst = random_instance(5, d=4, m=7)
-        bits = random_feasible_bits(rng, inst)
-        ev = evaluate(inst, bits)
-        rebuilt = ev.factor @ ev.factor.T
-        info = inst.prior_inverse + inst.sensing_matrix.T @ (
-            ev.precisions[:, None] * inst.sensing_matrix
-        )
-        np.testing.assert_allclose(rebuilt, info, rtol=1e-10, atol=1e-12)
-
     def test_negative_bits_allowed(self):
         ev = evaluate(one_by_one(), [-3.0])
         assert ev.objective < 1.0  # still better informed than the bare prior... barely
@@ -307,7 +297,9 @@ def test_hessian_is_psd_plus_its_gradient_diagonal_property(seed, identity_prior
     ev = evaluate(inst, random_feasible_bits(rng, inst))
     schur = model.objective_hessian(inst, ev) - LN4 * np.diag(ev.gradient)
     assert np.linalg.eigvalsh(schur)[0] >= -1e-12 * np.abs(schur).max()
-    solved = model.cholesky_solve(ev.factor, inst.sensing_matrix.T).T
+    scaled = inst.sensing_matrix * np.sqrt(ev.precisions)[:, None]
+    factor = model.cholesky_lower(inst.prior_inverse + scaled.T @ scaled)
+    solved = model.cholesky_solve(factor, inst.sensing_matrix.T).T
     assert np.abs(ev.cov_h - solved).max() <= 1e-12 * np.abs(solved).max()
 
 
