@@ -50,7 +50,6 @@ from .model import (
     BitAllocationError,
     BitRangeError,
     BitVector,
-    DimensionMismatchError,
     FactorizationError,
     ProblemInstance,
     allocation_array,
@@ -96,7 +95,7 @@ class BarrierConfig:
     def __post_init__(self):
         if not 0.0 < self.mu_final < _MU_INITIAL:
             raise ValueError(f"need 0 < mu_final < {_MU_INITIAL:g}")
-        if self.time_limit <= 0.0:
+        if not self.time_limit > 0.0:  # also rejects NaN
             raise ValueError("time_limit must be positive")
 
 
@@ -111,9 +110,7 @@ class KktCertificate:
 
 
 def _interior_or_raise(instance: ProblemInstance, bits) -> np.ndarray:
-    arr = allocation_array(bits)
-    if arr.shape != (instance.m,):
-        raise DimensionMismatchError(f"allocation must have length {instance.m}")
+    arr = allocation_array(bits, instance.m)
     slack = instance.budget - arr.sum()
     if np.any(arr <= 0.0) or slack <= 0.0:
         raise BoundaryError(
@@ -167,7 +164,7 @@ def _fraction_to_boundary(b, p, slack, advance):
         t_max = min(t_max, _BOUNDARY_FRACTION * float(np.min(b[neg] / -p[neg])))
     if advance > 0.0:
         t_max = min(t_max, _BOUNDARY_FRACTION * slack / advance)
-    return float(t_max)
+    return t_max
 
 
 @single_blas_thread()
@@ -186,10 +183,8 @@ def solve_barrier(
     if budget <= 0.0:
         raise BoundaryError("barrier solver needs a strictly positive budget")
     if start is None:
-        b = np.full(instance.m, (budget / instance.m) * (1.0 - 1e-6))
-    else:
-        b = np.array(allocation_array(start))
-    b = _interior_or_raise(instance, b)
+        start = np.full(instance.m, (budget / instance.m) * (1.0 - 1e-6))
+    b = np.array(_interior_or_raise(instance, start))
     slack = budget - b.sum()
 
     clock = time.perf_counter

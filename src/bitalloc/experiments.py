@@ -218,20 +218,12 @@ def _solve_one(plan, instance, solver: str):
     if solver == "fw":
         # a pairwise step moves one pair of coordinates, so the cap grows with m
         cap = max(2000, 5 * instance.m)
-        config = FwConfig(max_iterations=cap, step_rule=StepRule.ADAPTIVE_LIPSCHITZ, time_limit=plan.time_limit)
+        config = FwConfig(max_iterations=cap, time_limit=plan.time_limit)
         start = separable_warm_start(instance) if instance.budget > 0.0 else None
         trace, kkt = solve_fw(instance, config, start=start), None
     else:
         trace, kkt = solve_barrier(instance, BarrierConfig(time_limit=plan.time_limit))
     return trace, kkt, time.perf_counter() - t_start
-
-
-def _barrier_and_round(plan, instance):
-    """Barrier solve then rounding; returns (trace, kkt, report, wall seconds of both)."""
-    t0 = time.perf_counter()
-    trace, kkt = solve_barrier(instance, BarrierConfig(time_limit=plan.time_limit))
-    report = round_with_guarantees(instance, trace.final_bits)
-    return trace, kkt, report, time.perf_counter() - t0
 
 
 def _rounding_columns(relaxed: float, report: RoundingReport) -> dict:
@@ -297,7 +289,8 @@ def _compare_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
 def _rounding_gap_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
     instance = _trial_instance(plan, trial, row)
     row.update(m=instance.m, budget=instance.budget)
-    trace, kkt, report, wall = _barrier_and_round(plan, instance)
+    trace, kkt, wall = _solve_one(plan, instance, "barrier")
+    report = round_with_guarantees(instance, trace.final_bits)
     row.update(
         objective_relaxed=trace.final_objective,
         simplified_gap_bound=report.simplified_gap_bound,
@@ -314,7 +307,8 @@ def _uniform_sweep_trial(plan: ExperimentPlan, task: tuple[float, int], row: dic
     row["budget_per_sensor"] = c
     instance = _trial_instance(plan, trial, row, budget_per_sensor=float(c))
     row["budget"] = instance.budget
-    trace, kkt, report, wall = _barrier_and_round(plan, instance)
+    trace, kkt, wall = _solve_one(plan, instance, "barrier")
+    report = round_with_guarantees(instance, trace.final_bits)
     uniform_objective = evaluate(instance, uniform_allocation(instance)).objective
     rounded_objective = trace.final_objective + report.gap_actual
     row.update(

@@ -91,16 +91,16 @@ class FwConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.gap_tolerance <= 0.0:
+        if not self.gap_tolerance > 0.0:  # also rejects NaN
             raise ValueError("gap_tolerance must be positive")
-        if self.time_limit <= 0.0:
+        if not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
 
 
 def _gradient_array(gradient) -> np.ndarray:
     g = np.atleast_1d(np.asarray(gradient, dtype=float))
-    if g.size == 0:
-        raise DimensionMismatchError("gradient must not be empty")
+    if g.ndim != 1 or g.size == 0:
+        raise DimensionMismatchError(f"gradient must be a nonempty 1-D vector, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise DimensionMismatchError("gradient has non-finite components")
     return g
@@ -125,10 +125,7 @@ def fw_gap(bits, gradient, budget: float) -> float:
     gradient entries are nonnegative, where the oracle returns the origin.
     """
     g = _gradient_array(gradient)
-    arr = allocation_array(bits)
-    if arr.shape != g.shape:
-        raise DimensionMismatchError(f"allocation shape {arr.shape} does not match gradient shape {g.shape}")
-    return _oracle(arr, g, budget)[1]
+    return _oracle(allocation_array(bits, g.size), g, budget)[1]
 
 
 def _oracle(b: np.ndarray, g: np.ndarray, budget: float) -> tuple[int | None, float]:
@@ -368,9 +365,7 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
     if start is None:
         b = np.zeros(instance.m)
     else:
-        b = np.array(allocation_array(start))
-        if b.shape != (instance.m,):
-            raise DimensionMismatchError(f"start must have length {instance.m}")
+        b = np.array(allocation_array(start, instance.m))
         if not BitVector(b).feasible_for(budget):
             raise DimensionMismatchError(f"start exceeds budget: sum {b.sum():.6g} > {budget:.6g}")
     lip = lipschitz_constant(instance)

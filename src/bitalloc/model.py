@@ -104,13 +104,7 @@ class BitVector:
     is_integral: bool = field(init=False)
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.bits, dtype=float))
-        if arr.ndim != 1:
-            raise DimensionMismatchError(f"bit vector must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise DimensionMismatchError("bit vector must not be empty")
-        if not np.all(np.isfinite(arr)):
-            raise BitRangeError("bit vector has non-finite components")
+        arr = allocation_array(self.bits)
         if np.any(arr < -NEGATIVITY_TOL):
             raise BitRangeError(f"negative bit value {arr.min():.3e} below tolerance")
         object.__setattr__(self, "bits", arr)
@@ -236,26 +230,31 @@ class Evaluation:
             raise BitAllocationError(f"objective must be positive, got {self.objective}")
 
 
-def allocation_array(bits) -> np.ndarray:
-    """An allocation as a float array: a BitVector's own array, else a 1-D view or conversion."""
-    return bits.bits if isinstance(bits, BitVector) else np.atleast_1d(np.asarray(bits, dtype=float))
+def allocation_array(bits, m: int | None = None) -> np.ndarray:
+    """The package's one allocation check: a finite, nonempty 1-D float array, of length m when given.
 
-
-def _bits_array(instance: ProblemInstance, bits) -> np.ndarray:
-    arr = allocation_array(bits)
-    if arr.shape != (instance.m,):
-        raise DimensionMismatchError(f"allocation must have length {instance.m}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise BitRangeError("allocation has non-finite components")
-    if np.any(arr > MAX_BITS):
-        bad = int(np.argmax(arr))
-        raise BitRangeError(f"bit value {arr[bad]:.6g} at index {bad} exceeds overflow guard {MAX_BITS:g}")
+    A BitVector passes through as its own array, unchecked but for the
+    length: it was checked when it was built.
+    """
+    if isinstance(bits, BitVector):
+        arr = bits.bits
+    else:
+        arr = np.atleast_1d(np.asarray(bits, dtype=float))
+        if arr.ndim != 1 or arr.size == 0:
+            raise DimensionMismatchError(f"allocation must be a nonempty 1-D vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise BitRangeError("allocation has non-finite components")
+    if m is not None and arr.size != m:
+        raise DimensionMismatchError(f"allocation must have length {m}, got {arr.size}")
     return arr
 
 
 def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
     """Per-channel precision kappa_i * 4**b_i for an allocation."""
-    arr = _bits_array(instance, bits)
+    arr = allocation_array(bits, instance.m)
+    if np.any(arr > MAX_BITS):
+        bad = int(np.argmax(arr))
+        raise BitRangeError(f"bit value {arr[bad]:.6g} at index {bad} exceeds overflow guard {MAX_BITS:g}")
     return instance.kappa * 4.0 ** arr
 
 

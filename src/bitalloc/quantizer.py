@@ -71,11 +71,8 @@ class QuantizerBank:
     @classmethod
     def for_allocation(cls, instance: ProblemInstance, bits, mode: DitherMode, seed: int) -> "QuantizerBank":
         """Bin widths implied by an allocation: R_i / 2^{b_i} with R_i = sqrt(12/kappa_i)."""
-        arr = allocation_array(bits)
-        if arr.shape != (instance.m,):
-            raise DimensionMismatchError(f"allocation must have length {instance.m}")
         dynamic_range = np.sqrt(12.0 / instance.kappa)
-        return cls(dynamic_range / 2.0 ** arr, mode, seed)
+        return cls(dynamic_range / 2.0 ** allocation_array(bits, instance.m), mode, seed)
 
 
 @dataclass(frozen=True)
@@ -124,10 +121,11 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     (m, n) draw would give (see the module docstring); the channel sum in
     H' W y is reassociated, which moves the empirical MSE in its last digits
     once m exceeds one block.  The allocation is checked by the evaluation
-    kernel before any sampling.
+    kernel before any sampling.  The standard errors need at least two
+    samples.
     """
-    if sample_count < 1:
-        raise DimensionMismatchError("sample_count must be at least 1")
+    if sample_count < 2:
+        raise DimensionMismatchError("sample_count must be at least 2 for a standard error")
     if bank.bin_widths.shape != (instance.m,):
         raise DimensionMismatchError(f"bank must have {instance.m} channels")
     analytic = evaluate(instance, bits).objective
@@ -140,7 +138,7 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     rhs = np.zeros((instance.d, n))
     product = np.empty((instance.d, n))
     error_mean = np.empty(instance.m)
-    error_se = np.zeros(instance.m)
+    error_se = np.empty(instance.m)
     # A lone last row joins the block before it: numpy sends a one-row product
     # to BLAS gemv, whose sums can differ from gemm's.
     edges = list(range(0, max(instance.m - 1, 1), _CHANNEL_BLOCK)) + [instance.m]
@@ -161,17 +159,16 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
         errors = np.subtract(readings, clean, out=clean)
         means = np.sum(errors, axis=1) / n
         error_mean[rows] = means
-        if n > 1:
-            errors -= means[:, None]
-            errors *= errors
-            error_se[rows] = np.sqrt(np.sum(errors, axis=1) / (n - 1)) / np.sqrt(n)
+        errors -= means[:, None]
+        errors *= errors
+        error_se[rows] = np.sqrt(np.sum(errors, axis=1) / (n - 1)) / np.sqrt(n)
 
     scaled = h * np.sqrt(weights)[:, None]
     factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
     estimates = cholesky_solve(factor, rhs)
     squared_errors = np.sum((estimates - states) ** 2, axis=0)
     empirical_mse = float(squared_errors.mean())
-    standard_error = float(squared_errors.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    standard_error = float(squared_errors.std(ddof=1) / np.sqrt(n))
 
     return MonteCarloReport(
         sample_count=n,

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .model import (
+    NEGATIVITY_TOL,
     BitAllocationError,
     BitVector,
     DimensionMismatchError,
@@ -33,7 +34,7 @@ SLACK_TOL = 1e-6
 
 
 class RoundingPreconditionError(BitAllocationError):
-    """Continuous input is not budget-saturated (or violates nonnegativity)."""
+    """Continuous input is not budget-saturated (or violates nonnegativity), or the budget is not finite."""
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,10 @@ class RoundingReport:
     gap_actual: float | None = None
 
 
-def _continuous_array(b_bar) -> np.ndarray:
-    arr = allocation_array(b_bar)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatchError("continuous allocation must be a nonempty 1-D vector")
-    if np.any(arr < -1e-12):
+def _continuous_array(b_bar, m: int | None = None) -> np.ndarray:
+    """A checked allocation with roundoff negativity clipped to zero."""
+    arr = allocation_array(b_bar, m)
+    if np.any(arr < -NEGATIVITY_TOL):
         raise RoundingPreconditionError(f"negative component {arr.min():.3e} in continuous allocation")
     return np.maximum(arr, 0.0)
 
@@ -69,6 +69,8 @@ def round_largest_remainder(b_bar, budget: float) -> RoundingReport:
     budget - sum(floor(b)), so saturation slack up to SLACK_TOL * max(1, B)
     cannot change how many coordinates round up.
     """
+    if not math.isfinite(budget):
+        raise RoundingPreconditionError(f"budget must be finite, got {budget}")
     arr = _continuous_array(b_bar)
     slack = budget - arr.sum()
     tol = SLACK_TOL * max(1.0, budget)
@@ -105,7 +107,7 @@ def verify_nearest_point(b_bar, rounded: BitVector) -> bool:
     m = arr.size
     if m > 20:
         raise DimensionMismatchError(f"brute-force nearest-point check limited to m <= 20, got m = {m}")
-    hat = allocation_array(rounded)
+    hat = allocation_array(rounded, m)
     floors = np.floor(arr)
     residual = int(round(float((hat - floors).sum())))
     achieved = float(np.sum((hat - arr) ** 2))
@@ -122,9 +124,7 @@ def rounding_gap_bound(instance: ProblemInstance, b_bar) -> tuple[float, float]:
 
     R is the number of coordinates :func:`round_largest_remainder` rounds up.
     """
-    arr = _continuous_array(b_bar)
-    if arr.size != instance.m:
-        raise DimensionMismatchError(f"allocation must have length {instance.m}")
+    arr = _continuous_array(b_bar, instance.m)
     lip = lipschitz_constant(instance)
     floors = np.floor(arr)
     remainders = arr - floors

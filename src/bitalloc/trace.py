@@ -4,19 +4,18 @@ A trace is a flat sequence of iteration records plus the terminal allocation
 and a termination reason.  The ``gap`` field holds whichever stationarity
 measure the solver tracks: the Frank-Wolfe gap for the conditional-gradient
 solver, the barrier-gradient max norm for the interior-point solver.  Traces
-serialize to one comma-delimited line per iteration for the CLI.
+serialize to one comma-delimited line per iteration for the CLI: one column
+per record field, each cell a plain number, blank where the field is None.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 from .model import BitVector
-
-TRACE_FIELDS = ("iteration", "objective", "gap", "step_size", "vertex", "barrier_mu", "elapsed_seconds")
 
 
 class Termination(Enum):
@@ -34,17 +33,6 @@ class IterationRecord:
     vertex: int | None = None
     barrier_mu: float | None = None
     elapsed_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "objective": repr(self.objective),
-            "gap": repr(self.gap),
-            "step_size": repr(self.step_size),
-            "vertex": "" if self.vertex is None else self.vertex,
-            "barrier_mu": "" if self.barrier_mu is None else repr(self.barrier_mu),
-            "elapsed_seconds": repr(self.elapsed_seconds),
-        }
 
 
 @dataclass(frozen=True)
@@ -82,14 +70,14 @@ class SolveTrace:
     def final_objective(self) -> float:
         return self.iterates[-1].objective
 
-    def best_gap(self) -> float:
-        return min(rec.gap for rec in self.iterates)
-
 
 def write_trace(path, trace: SolveTrace) -> None:
-    """Write one iteration record per line, comma-delimited with a header."""
+    """Write one iteration record per line, comma-delimited with a header.
+
+    csv writes None as an empty cell and a float, numpy scalars included, as
+    its shortest repr: str(np.float64(x)) is repr(float(x)).
+    """
     with Path(path).open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=TRACE_FIELDS)
-        writer.writeheader()
-        for rec in trace.iterates:
-            writer.writerow(rec.as_dict())
+        writer = csv.writer(handle)
+        writer.writerow(f.name for f in fields(IterationRecord))
+        writer.writerows(vars(rec).values() for rec in trace.iterates)

@@ -288,6 +288,7 @@ class TestConfigValidation:
             {"time_limit": -1.0},
             {"time_limit": 0.0},
             {"mu_final": float("nan")},
+            {"time_limit": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

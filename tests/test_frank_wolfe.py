@@ -101,7 +101,7 @@ class TestSolve:
             for rule in StepRule:
                 trace = solve_fw(inst, FwConfig(max_iterations=80, step_rule=rule))
                 assert trace.certificate.holds
-                assert trace.certificate.min_gap == trace.best_gap()
+                assert trace.certificate.min_gap == min(rec.gap for rec in trace.iterates)
 
     def test_gap_nonnegative_on_all_iterates(self):
         trace = solve_fw(random_instance(4), FwConfig(max_iterations=100))
@@ -266,6 +266,8 @@ class TestConfigValidation:
             {"max_iterations": 0},
             {"gap_tolerance": 0.0},
             {"time_limit": -1.0},
+            {"gap_tolerance": float("nan")},
+            {"time_limit": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -47,6 +47,17 @@ CASES = {
         ExperimentPlan(Experiment.SOLVE, GRID6, trials=1, seed=8, solver=SolverChoice.FW),
         EXIT_OK,
     ),
+    "solve-fw-steps": (
+        # 113 pairwise steps: the other FW solves here stop at their warm start
+        ExperimentPlan(
+            Experiment.SOLVE,
+            InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=29),
+            trials=1,
+            seed=2,
+            solver=SolverChoice.FW,
+        ),
+        EXIT_OK,
+    ),
     "compare": (ExperimentPlan(Experiment.COMPARE_SOLVERS, GRID6, trials=2, seed=1), EXIT_OK),
     "rounding-gap-threads2": (
         ExperimentPlan(Experiment.ROUNDING_GAP, GRID6, trials=3, seed=2, threads=2),

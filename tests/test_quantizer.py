@@ -152,8 +152,9 @@ class TestSimulate:
     def test_sample_count_validated(self, setup):
         inst, bits = setup
         bank = QuantizerBank.for_allocation(inst, bits, DitherMode.SUBTRACTIVE, seed=1)
-        with pytest.raises(DimensionMismatchError):
-            simulate_lmmse(inst, bits, 0, bank)
+        for count in (0, 1):
+            with pytest.raises(DimensionMismatchError):
+                simulate_lmmse(inst, bits, count, bank)
 
     def test_channel_count_validated(self, setup):
         inst, bits = setup

@@ -77,6 +77,11 @@ class TestLargestRemainder:
         with pytest.raises(RoundingPreconditionError):
             round_largest_remainder(np.array([-0.5, 3.5]), 3.0)
 
+    @pytest.mark.parametrize("budget", [np.inf, -np.inf, np.nan])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(RoundingPreconditionError, match="finite"):
+            round_largest_remainder(np.array([1.0, 2.0]), budget)
+
     def test_non_integral_budget_stays_feasible(self):
         b_bar = np.array([1.25, 1.25])  # budget 2.5
         report = round_largest_remainder(b_bar, 2.5)

@@ -6,6 +6,10 @@ file stem.  The row counts show that ``--trials`` and ``--sweep`` reach the
 CLI and that a ``--sweep`` given on the command line replaces the study's
 default sweep.  ``sensor-scaling`` gets two ratios so that its log-log fit has
 more than one point.
+
+The benchmark's own smoke self-test ``bench/smoke.py`` runs the same way, so
+a change that breaks the benchmark's contract (its result keys, metrics and
+the names its tracer wraps) fails here.
 """
 
 import os
@@ -43,3 +47,14 @@ def test_study_runs(study, tmp_path):
     assert len((tmp_path / f"{stem}.csv").read_text().splitlines()) == 1 + rows
     if study == "sensor-scaling":
         assert "log-log slope of per-iteration time vs m" in result.stdout
+
+
+def test_benchmark_smoke():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "smoke.py")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
