@@ -54,7 +54,7 @@ from .model import (
     ProblemInstance,
     allocation_array,
     evaluate,
-    objective_value,
+    objective_value,  # noqa: F401  not called here; bench/tracer.py patches it as a barrier attribute
 )
 from .trace import IterationRecord, SolveTrace, Termination
 
@@ -196,8 +196,8 @@ def solve_barrier(
         mus.append(mus[-1] * _MU_DECREASE_FACTOR)
     mus.append(cfg.mu_final)
 
-    scale = objective_value(instance, b)
     ev = evaluate(instance, b)
+    scale = ev.objective
     out_of_time = False
     for stage, mu in enumerate(mus):
         weight = mu * scale

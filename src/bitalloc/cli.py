@@ -39,52 +39,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per experiment; each flag's dest is the ExperimentPlan field it sets."""
     parser = _Parser(prog="bitalloc", description="Bit-budget allocation across quantized linear sensors")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(required=True)
     for experiment in Experiment:
-        sub = commands.add_parser(experiment.value)
+        sub = commands.add_parser(experiment.value, argument_default=argparse.SUPPRESS)
         sub.set_defaults(experiment=experiment)
-        sub.add_argument(
-            "--config", help="instance spec JSON (kind, d, m, kappa.*, budget_per_sensor, seed, paths.*)"
-        )
-        sub.add_argument("--out", help="summary CSV path; aggregates/traces land next to it")
-        sub.add_argument("--seed", type=int, default=0, help="plan seed; trial t uses seed+t")
-        sub.add_argument("--threads", type=int, default=1, help="worker processes across trials")
+        sub.add_argument("--config", help="instance spec JSON (kind, d, m, kappa.*, budget_per_sensor, seed, paths.*)")
+        sub.add_argument("--out", dest="output_path", help="summary CSV path; aggregates/traces land next to it")
+        sub.add_argument("--seed", type=int, help="plan seed; trial t uses seed+t")
+        sub.add_argument("--threads", type=int, help="worker processes across trials")
         if experiment is not Experiment.VALIDATE:  # validate draws one instance and runs no solver
-            sub.add_argument("--trials", type=int, default=30, help="independent trials (default %(default)s)")
-            sub.add_argument(
-                "--time-limit", type=float, default=600.0, help="per-solve wall clock limit in seconds"
-            )
+            sub.add_argument("--trials", type=int, help=f"independent trials (default {ExperimentPlan.trials})")
+            sub.add_argument("--time-limit", type=float, help="per-solve wall clock limit in seconds")
         if experiment is Experiment.SOLVE:
-            sub.add_argument("--solver", choices=[s.value for s in SolverChoice], default="both")
+            sub.add_argument("--solver", choices=[s.value for s in SolverChoice])
         if experiment in (Experiment.UNIFORM_SWEEP, Experiment.SENSOR_SCALING):
-            sub.add_argument(
-                "--sweep",
-                help="comma-separated sweep values (budgets per sensor, or m/d ratios)",
-            )
+            sub.add_argument("--sweep", dest="sweep_values", help="comma-separated budgets per sensor, or m/d ratios")
         if experiment is Experiment.VALIDATE:
-            sub.add_argument("--samples", type=int, default=100_000, help="Monte-Carlo sample count")
+            sub.add_argument("--samples", dest="mc_samples", type=int, help="Monte-Carlo sample count")
     return parser
 
 
 def _plan_from_args(args) -> ExperimentPlan:
-    experiment: Experiment = args.experiment
-    spec = load_spec(args.config) if args.config else _DEFAULT_SPECS[experiment]
-    sweep = None
-    if getattr(args, "sweep", None):
-        sweep = tuple(float(v) for v in args.sweep.split(","))
-    trial_options = {key: getattr(args, key) for key in ("trials", "time_limit") if hasattr(args, key)}
-    return ExperimentPlan(
-        experiment=experiment,
-        instance_spec=spec,
-        sweep_values=sweep,
-        solver=SolverChoice(getattr(args, "solver", SolverChoice.BOTH.value)),
-        output_path=args.out,
-        seed=args.seed,
-        threads=args.threads,
-        mc_samples=getattr(args, "samples", 100_000),
-        **trial_options,
-    )
+    options = vars(args)
+    experiment = options.pop("experiment")
+    config = options.pop("config", None)
+    spec = load_spec(config) if config else _DEFAULT_SPECS[experiment]
+    if "sweep_values" in options:  # an empty --sweep is the empty sweep, which the plan rejects
+        sweep = options["sweep_values"]
+        options["sweep_values"] = tuple(float(v) for v in sweep.split(",")) if sweep else ()
+    if "solver" in options:
+        options["solver"] = SolverChoice(options["solver"])
+    return ExperimentPlan(experiment, spec, **options)
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from ._blas import single_blas_thread
 from .barrier import BarrierConfig, solve_barrier
 from .frank_wolfe import FwConfig, StepRule, separable_warm_start, solve_fw
-from .instances import InstanceKind, InstanceSpec, generate, save_results, trial_spec, uniform_allocation
+from .instances import InstanceKind, InstanceSpec, generate, save_results, uniform_allocation
 from .model import BitAllocationError, ProblemInstance, evaluate
 from .quantizer import DitherMode, QuantizerBank, simulate_lmmse
 from .rounding import RoundingPreconditionError, RoundingReport, round_with_guarantees
@@ -206,21 +206,21 @@ def _sweep_tasks(plan: ExperimentPlan) -> list[tuple[float, int]]:
 
 
 def _trial_instance(plan: ExperimentPlan, trial: int, row: dict, **overrides) -> ProblemInstance:
-    """Generate trial ``trial``'s instance and record its trial index and seed."""
-    spec = replace(trial_spec(plan.instance_spec, plan.seed, trial), **overrides)
-    row.update(trial=trial, seed=spec.seed)
-    return generate(spec)
+    """Generate trial ``trial``'s instance (seed = plan seed + trial) and fill the trial, seed, d, m
+    and budget cells the row has: trial and seed first, so a row whose instance fails still names it."""
+    spec = replace(plan.instance_spec, seed=plan.seed + trial, **overrides)
+    row.update((key, value) for key, value in (("trial", trial), ("seed", spec.seed)) if key in row)
+    instance = generate(spec)
+    row.update((key, getattr(instance, key)) for key in ("d", "m", "budget") if key in row)
+    return instance
 
 
 def _solve_one(plan, instance, solver: str):
     """Run one solver; returns (trace, KKT certificate or None for fw, wall seconds)."""
     t_start = time.perf_counter()
     if solver == "fw":
-        # a pairwise step moves one pair of coordinates, so the cap grows with m
-        cap = max(2000, 5 * instance.m)
-        config = FwConfig(max_iterations=cap, time_limit=plan.time_limit)
-        start = separable_warm_start(instance) if instance.budget > 0.0 else None
-        trace, kkt = solve_fw(instance, config, start=start), None
+        trace = solve_fw(instance, FwConfig(time_limit=plan.time_limit), start=separable_warm_start(instance))
+        kkt = None
     else:
         trace, kkt = solve_barrier(instance, BarrierConfig(time_limit=plan.time_limit))
     return trace, kkt, time.perf_counter() - t_start
@@ -242,7 +242,6 @@ def _solve_trial(plan: ExperimentPlan, task: tuple[int, str], row: dict) -> Solv
     trial, solver = task
     row["solver"] = solver
     instance = _trial_instance(plan, trial, row)
-    row.update(d=instance.d, m=instance.m, budget=instance.budget)
     trace, kkt, wall = _solve_one(plan, instance, solver)
     row.update(
         objective_relaxed=trace.final_objective,
@@ -266,7 +265,6 @@ def _solve_trial(plan: ExperimentPlan, task: tuple[int, str], row: dict) -> Solv
 
 def _compare_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
     instance = _trial_instance(plan, trial, row)
-    row.update(d=instance.d, m=instance.m, budget=instance.budget)
     fw, _, fw_wall = _solve_one(plan, instance, "fw")
     ba, kkt, ba_wall = _solve_one(plan, instance, "barrier")
     row.update(
@@ -288,7 +286,6 @@ def _compare_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
 
 def _rounding_gap_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
     instance = _trial_instance(plan, trial, row)
-    row.update(m=instance.m, budget=instance.budget)
     trace, kkt, wall = _solve_one(plan, instance, "barrier")
     report = round_with_guarantees(instance, trace.final_bits)
     row.update(
@@ -306,7 +303,6 @@ def _uniform_sweep_trial(plan: ExperimentPlan, task: tuple[float, int], row: dic
     c, trial = task
     row["budget_per_sensor"] = c
     instance = _trial_instance(plan, trial, row, budget_per_sensor=float(c))
-    row["budget"] = instance.budget
     trace, kkt, wall = _solve_one(plan, instance, "barrier")
     report = round_with_guarantees(instance, trace.final_bits)
     uniform_objective = evaluate(instance, uniform_allocation(instance)).objective
@@ -327,7 +323,7 @@ def _sensor_scaling_trial(plan: ExperimentPlan, task: tuple[float, int], row: di
     ratio, trial = task
     d = plan.instance_spec.d
     m = max(int(round(ratio * d)), 1)
-    row.update(ratio=ratio, m=m, d=d)
+    row["ratio"] = ratio
     # total budget pinned to 2d across the sweep, not 2m
     instance = _trial_instance(plan, trial, row, m=m, budget_per_sensor=2.0 * d / m)
     t0 = time.perf_counter()
@@ -345,7 +341,7 @@ def _sensor_scaling_trial(plan: ExperimentPlan, task: tuple[float, int], row: di
 
 def _validate_trial(plan: ExperimentPlan, mode: DitherMode, row: dict) -> None:
     row["mode"] = mode.value
-    instance = generate(trial_spec(plan.instance_spec, plan.seed, 0))
+    instance = _trial_instance(plan, 0, row)
     bits = uniform_allocation(instance)
     bank = QuantizerBank.for_allocation(instance, bits, mode, seed=plan.seed + 7919)
     report = simulate_lmmse(instance, bits, plan.mc_samples, bank)

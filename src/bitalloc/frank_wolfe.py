@@ -71,25 +71,26 @@ class StepRule(Enum):
 
     SHORT_STEP moves toward the oracle vertex by gap/(2*L*B^2), with L the
     global Lipschitz constant, and evaluates every iterate.
-    ADAPTIVE_LIPSCHITZ (the default; the name is kept from an earlier local
-    Lipschitz estimate) takes pairwise steps from the away vertex to the
+    PAIRWISE (the default) takes pairwise steps from the away vertex to the
     oracle vertex on rank-two updated state: a line search along the pair,
     then the sufficient-decrease test f_next <= f - gamma*gap/2.
     """
 
     SHORT_STEP = "short-step"
-    ADAPTIVE_LIPSCHITZ = "adaptive-lipschitz"
+    PAIRWISE = "pairwise"
 
 
 @dataclass(frozen=True)
 class FwConfig:
-    max_iterations: int = 500
+    """Stopping rules and step rule; max_iterations None leaves the cap to solve_fw, which scales it with m."""
+
+    max_iterations: int | None = None
     gap_tolerance: float = 1e-6
     time_limit: float = 600.0
-    step_rule: StepRule = StepRule.ADAPTIVE_LIPSCHITZ
+    step_rule: StepRule = StepRule.PAIRWISE
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.gap_tolerance > 0.0:  # also rejects NaN
             raise ValueError("gap_tolerance must be positive")
@@ -184,8 +185,6 @@ def separable_warm_start(instance: ProblemInstance) -> BitVector:
     asymptotically, which is what makes it an effective start for the
     conditional-gradient solver.
     """
-    if instance.budget <= 0.0:
-        return BitVector.zeros(instance.m)
     bits = np.full(instance.m, min(instance.budget / instance.m, MAX_BITS))
     for _ in range(_WARM_START_REFINEMENTS):
         gradient = evaluate(instance, bits).gradient
@@ -358,7 +357,8 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
     objective and the stopping test come from a fresh evaluation at the
     returned point.  The certificate pairs the best recorded gap with the
     max(2*h0, 2*L*B^2)/sqrt(T+1) envelope, where h0 is the observed
-    objective drop.
+    objective drop.  Without a configured cap it stops after the larger of
+    2000 and 5m iterations: a pairwise step moves only one pair of coordinates.
     """
     cfg = config or FwConfig()
     budget = instance.budget
@@ -368,8 +368,9 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
         b = np.array(allocation_array(start, instance.m))
         if not BitVector(b).feasible_for(budget):
             raise DimensionMismatchError(f"start exceeds budget: sum {b.sum():.6g} > {budget:.6g}")
+    cap = cfg.max_iterations or max(2000, 5 * instance.m)
     lip = lipschitz_constant(instance)
-    pairwise = cfg.step_rule is StepRule.ADAPTIVE_LIPSCHITZ
+    pairwise = cfg.step_rule is StepRule.PAIRWISE
 
     records: list[IterationRecord] = []
     clock = time.perf_counter
@@ -383,7 +384,7 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
         termination = (
             Termination.GAP_CONVERGED if gap <= cfg.gap_tolerance
             else Termination.TIME_LIMIT if elapsed >= cfg.time_limit
-            else Termination.MAX_ITERATIONS if t == cfg.max_iterations
+            else Termination.MAX_ITERATIONS if t == cap
             else None
         )
         if termination is not None and pairwise and state.updates:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -319,8 +319,3 @@ def save_results(path, records) -> None:
         writer.writeheader()
         for record in records:
             writer.writerow(record)
-
-
-def trial_spec(spec: InstanceSpec, plan_seed: int, trial: int) -> InstanceSpec:
-    """Per-trial spec: seed = plan seed + trial index, everything else shared."""
-    return replace(spec, seed=plan_seed + trial)

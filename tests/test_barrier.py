@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bitalloc import barrier as barrier_mod, model as model_mod
-from bitalloc.barrier import BarrierConfig, BoundaryError, barrier_objective, solve_barrier
+from bitalloc.barrier import BarrierConfig, BoundaryError, LineSearchError, barrier_objective, solve_barrier
 from bitalloc.frank_wolfe import FwConfig, solve_fw
 from bitalloc.instances import InstanceKind, InstanceSpec, KappaRange, generate
-from bitalloc.model import ProblemInstance, evaluate
+from bitalloc.model import BitAllocationError, FactorizationError, ProblemInstance, evaluate
 from bitalloc.rounding import round_with_guarantees
 from bitalloc.trace import Termination
 
@@ -138,8 +138,9 @@ class TestSolve:
         assert max(per_direction) <= 2
 
     def test_one_evaluation_per_point(self, monkeypatch):
-        # an accepted trial's Evaluation becomes the iterate's, and a stage starts
-        # from the one already held: no allocation is factored twice
+        # an accepted trial's Evaluation becomes the iterate's, a stage starts from
+        # the one already held, and f(b0) is the start's objective: no allocation
+        # is factored twice
         evaluated, values = [], []
         original_evaluate, original_value = barrier_mod.evaluate, barrier_mod.objective_value
 
@@ -162,7 +163,7 @@ class TestSolve:
             trace, _ = solve_barrier(generate(spec))
             assert trace.iterations > 0
             assert len(set(evaluated)) == len(evaluated)
-            assert len(values) == 1
+            assert values == []
 
     def test_agreement_with_conditional_gradient(self):
         # square case: the optimum is interior to the budget face, where the
@@ -208,6 +209,27 @@ class TestSolve:
         inst = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=700))
         trace, _ = solve_barrier(inst)
         assert trace.termination is Termination.MAX_ITERATIONS
+
+    def test_line_search_failure_raises(self, monkeypatch):
+        # no trial past the start point factors, so the first step backtracks out
+        calls = []
+        original = barrier_mod.evaluate
+
+        def failing(instance, bits):
+            calls.append(1)
+            if len(calls) > 1:
+                raise FactorizationError("injected")
+            return original(instance, bits)
+
+        monkeypatch.setattr(barrier_mod, "evaluate", failing)
+        inst = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=6, seed=1))
+        with pytest.raises(LineSearchError) as exc_info:
+            solve_barrier(inst)
+        assert isinstance(exc_info.value, BitAllocationError)
+        assert exc_info.value.mu == 1.0
+        assert exc_info.value.iteration == 0
+        assert np.isfinite(exc_info.value.gradient_norm)
+        assert len(calls) == 1 + barrier_mod._MAX_BACKTRACKS
 
     def test_trace_has_mu_and_no_certificate(self):
         trace, _ = solve_barrier(one_by_one())

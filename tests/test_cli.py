@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bitalloc.cli import EXIT_PLAN_ERROR, main
+from bitalloc.cli import _DEFAULT_SPECS, EXIT_PLAN_ERROR, _plan_from_args, build_parser, main
+from bitalloc.experiments import Experiment, ExperimentPlan
 
 
 def test_validate_passes(capsys):
@@ -83,6 +84,8 @@ def test_too_few_samples_is_plan_error(samples, capsys):
         ["uniform-sweep", "--sweep", "-1"],
         ["uniform-sweep", "--sweep", "2,nan"],
         ["uniform-sweep", "--sweep", "inf"],
+        ["uniform-sweep", "--sweep", ""],
+        ["sensor-scaling", "--sweep", ""],
         ["sensor-scaling", "--sweep", "-5"],
         ["sensor-scaling", "--sweep", "0"],
         ["sensor-scaling", "--sweep", "nan"],
@@ -120,6 +123,20 @@ def test_bad_flag_exits_one():
     with pytest.raises(SystemExit) as exc_info:
         main(["solve", "--solver", "simplex"])
     assert exc_info.value.code == 1
+
+
+def test_bad_solver_names_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["solve", "--solver", "simplex"])
+    assert exc_info.value.code == EXIT_PLAN_ERROR
+    assert "choose from 'fw', 'barrier', 'both'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", list(Experiment), ids=lambda e: e.value)
+def test_bare_subcommand_plans_the_defaults(experiment):
+    # every default a bare subcommand runs with is ExperimentPlan's own
+    plan = _plan_from_args(build_parser().parse_args([experiment.value]))
+    assert plan == ExperimentPlan(experiment, _DEFAULT_SPECS[experiment])
 
 
 def test_solver_flag_only_on_solve(capsys):

@@ -16,7 +16,9 @@ from bitalloc.experiments import (
     run,
     write_outputs,
 )
-from bitalloc.instances import InstanceKind, InstanceSpec
+from bitalloc.frank_wolfe import FwConfig, solve_fw
+from bitalloc.instances import InstanceKind, InstanceSpec, generate
+from bitalloc.trace import Termination
 
 SMALL_GRID = InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=6)
 SMALL_GAUSSIAN = InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=3, m=5)
@@ -44,6 +46,19 @@ class TestSolvePlan:
             assert rec["rounding_note"] == ""
             assert float(rec["gap_actual"]) <= float(rec["gap_bound"]) + 1e-9
         assert len(result.traces) == 4
+
+    def test_zero_budget_fw_rows(self):
+        # the warm start of a zero budget is the origin, where the gap is already zero
+        spec = InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=4, budget_per_sensor=0.0)
+        plan = ExperimentPlan(Experiment.SOLVE, spec, trials=2, solver=SolverChoice.FW)
+        result = run(plan)
+        assert result.exit_code == EXIT_OK
+        for rec in result.records:
+            assert rec["error"] == ""
+            assert rec["termination"] == "gap-converged"
+            assert rec["iterations"] == 0
+            assert rec["budget_slack"] == 0.0
+            assert rec["objective_rounded"] == rec["objective_relaxed"]
 
     def test_seed_recorded_per_trial(self):
         plan = ExperimentPlan(
@@ -110,22 +125,13 @@ class TestUniformSweepPlan:
         assert [agg["budget_per_sensor"] for agg in result.aggregates] == [2.0, 3.0]
 
 
-    def test_fw_iteration_cap_scales_with_sensors(self, monkeypatch):
-        # pairwise steps move one pair of coordinates each, so m = 499 needs
-        # more than 2,000 of them to certify its gap
-        caps = []
-        real_solve_fw = experiments.solve_fw
-
-        def recording_solve_fw(instance, config, **kwargs):
-            caps.append((instance.m, config.max_iterations))
-            return real_solve_fw(instance, config, **kwargs)
-
-        monkeypatch.setattr(experiments, "solve_fw", recording_solve_fw)
-        for m in (5, 600):
-            spec = InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=3, m=m)
-            plan = ExperimentPlan(experiment=Experiment.SOLVE, instance_spec=spec, trials=1, solver=SolverChoice.FW)
-            assert run(plan).exit_code == EXIT_OK
-        assert caps == [(5, 2000), (600, 3000)]
+    def test_fw_iteration_cap_scales_with_sensors(self):
+        # solve_fw's default cap: pairwise steps move one pair of coordinates
+        # each, so m = 600 gets 5m = 3,000 of them, above the floor of 2,000
+        instance = generate(InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=3, m=600))
+        trace = solve_fw(instance, FwConfig(gap_tolerance=1e-300))
+        assert trace.termination is Termination.MAX_ITERATIONS
+        assert trace.iterations == 3000
 
 
 class TestSensorScalingPlan:

