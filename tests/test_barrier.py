@@ -165,6 +165,31 @@ class TestSolve:
             assert len(set(evaluated)) == len(evaluated)
             assert values == []
 
+    def test_predictor_shortens_stages(self):
+        # a stage below mu=1 starts with a step along the central path's tangent;
+        # restarting Newton from the old centre took a median of 10 steps here
+        per_stage = []
+        for seed in range(700, 710):
+            trace, _ = solve_barrier(generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=seed)))
+            mus = [rec.barrier_mu for rec in trace.iterates]
+            per_stage += [mus.count(mu) for mu in set(mus) if mu < 1.0]
+        assert np.median(per_stage) <= 5
+
+    def test_predictor_skips_a_zero_tangent(self):
+        # 1/b - 1/s vanishes where every b_i equals the slack
+        inst = one_by_one()
+        predicted = barrier_mod._predict(inst, 1.0, 0.1, np.array([1.0]), 1.0, evaluate(inst, [1.0]), 1.0)
+        assert predicted is None
+
+    @pytest.mark.parametrize("mu_final", [1e-9, 1e-11])
+    def test_slow_fallback_grid_is_short(self, mu_final):
+        # the Hessian-modification fallback converges linearly in some stages of
+        # this grid, which took 237 and 257 steps without the predictor
+        spec = InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=2104691538, budget_per_sensor=2.0)
+        trace, _ = solve_barrier(generate(spec), BarrierConfig(mu_final=mu_final))
+        assert trace.termination is Termination.GAP_CONVERGED
+        assert trace.iterations <= 120
+
     def test_agreement_with_conditional_gradient(self):
         # square case: the optimum is interior to the budget face, where the
         # conditional-gradient method converges without boundary drift
