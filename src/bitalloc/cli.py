@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .experiments import (
     EXIT_PLAN_ERROR,
@@ -79,6 +80,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         plan = _plan_from_args(args)
+        if plan.output_path is not None:  # before any trial runs, so a bad --out loses no results
+            Path(plan.output_path).parent.mkdir(parents=True, exist_ok=True)
     except (BitAllocationError, ValueError, OSError) as exc:
         print(f"bitalloc: plan error: {exc}", file=sys.stderr)
         return EXIT_PLAN_ERROR

@@ -12,6 +12,8 @@ such columns: compare's ``statistic`` rows ``fw_seconds`` and
 
 Individual trial failures are recorded in the row's ``error`` column and do
 not abort the plan; a plan whose trials all fail exits with code 2.
+Rounding-gap rows are the barrier's solve rows under their own header, and
+keep no trace.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class ExperimentPlan:
             raise ValueError("trials must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mc_samples < 2:
             raise ValueError("samples must be at least 2 for a standard error")
         if not self.time_limit > 0.0:  # also rejects NaN
@@ -152,7 +156,7 @@ def run(plan: ExperimentPlan) -> RunResult:
 
     outcomes = _run_tasks(tasks(plan), worker, plan.threads)
     records = [row for row, _ in outcomes]
-    traces = [(row["trial"], row["solver"], trace) for row, trace in outcomes if trace is not None]
+    traces = [(row["trial"], row["solver"], trace) for row, trace in outcomes if trace is not None and "solver" in row]
     if plan.experiment is Experiment.VALIDATE:
         # the model check fails as soon as one dither mode does not pass
         failed = any(rec["error"] or rec["passed"] is not True for rec in records)
@@ -162,10 +166,10 @@ def run(plan: ExperimentPlan) -> RunResult:
 
 
 def write_outputs(plan: ExperimentPlan, result: RunResult) -> None:
+    """Write the summary, aggregate and trace CSVs into the output path's directory, which must exist."""
     if plan.output_path is None:
         return
     out = Path(plan.output_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_results(out, result.records)
     if result.aggregates:
         save_results(out.with_name(out.stem + ".aggregates.csv"), result.aggregates)
@@ -231,6 +235,7 @@ def _rounding_columns(relaxed: float, report: RoundingReport) -> dict:
         "objective_rounded": relaxed + report.gap_actual,
         "gap_actual": report.gap_actual,
         "gap_bound": report.gap_bound,
+        "simplified_gap_bound": report.simplified_gap_bound,
         "gap_ratio": report.gap_actual / report.gap_bound if report.gap_bound > 0 else "",
         "distance_squared": report.distance_squared,
         "distance_bound": report.distance_bound,
@@ -239,11 +244,13 @@ def _rounding_columns(relaxed: float, report: RoundingReport) -> dict:
 
 
 def _solve_trial(plan: ExperimentPlan, task: tuple[int, str], row: dict) -> SolveTrace:
+    """Solve, then round; once rounding is done, fill the cells the row's header names."""
     trial, solver = task
-    row["solver"] = solver
+    if "solver" in row:
+        row["solver"] = solver
     instance = _trial_instance(plan, trial, row)
     trace, kkt, wall = _solve_one(plan, instance, solver)
-    row.update(
+    cells = dict(
         objective_relaxed=trace.final_objective,
         budget_slack=instance.budget - trace.final_bits.total,
         iterations=trace.iterations,
@@ -251,15 +258,18 @@ def _solve_trial(plan: ExperimentPlan, task: tuple[int, str], row: dict) -> Solv
         wall_seconds=wall,
     )
     if kkt is None:
-        row.update(min_gap=trace.certificate.min_gap, certificate_bound=trace.certificate.rate_bound)
+        cells.update(min_gap=trace.certificate.min_gap, certificate_bound=trace.certificate.rate_bound)
     else:
-        row.update(stationarity=kkt.stationarity_residual, complementarity=kkt.complementarity_residual)
+        cells.update(stationarity=kkt.stationarity_residual, complementarity=kkt.complementarity_residual)
     try:
         report = round_with_guarantees(instance, trace.final_bits)
     except RoundingPreconditionError as exc:
-        row["rounding_note"] = str(exc)
+        if "rounding_note" not in row:  # a rounding-gap row has nothing to show without rounding
+            raise
+        cells["rounding_note"] = str(exc)
     else:
-        row.update(_rounding_columns(trace.final_objective, report))
+        cells.update(_rounding_columns(trace.final_objective, report))
+    row.update((key, value) for key, value in cells.items() if key in row)
     return trace
 
 
@@ -284,35 +294,20 @@ def _compare_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
     )
 
 
-def _rounding_gap_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
-    instance = _trial_instance(plan, trial, row)
-    trace, kkt, wall = _solve_one(plan, instance, "barrier")
-    report = round_with_guarantees(instance, trace.final_bits)
-    row.update(
-        objective_relaxed=trace.final_objective,
-        simplified_gap_bound=report.simplified_gap_bound,
-        stationarity=kkt.stationarity_residual,
-        budget_slack=instance.budget - trace.final_bits.total,
-        termination=trace.termination.value,
-        wall_seconds=wall,
-        **_rounding_columns(trace.final_objective, report),
-    )
-
-
 def _uniform_sweep_trial(plan: ExperimentPlan, task: tuple[float, int], row: dict) -> None:
     c, trial = task
     row["budget_per_sensor"] = c
     instance = _trial_instance(plan, trial, row, budget_per_sensor=float(c))
     trace, kkt, wall = _solve_one(plan, instance, "barrier")
-    report = round_with_guarantees(instance, trace.final_bits)
+    rounding = _rounding_columns(trace.final_objective, round_with_guarantees(instance, trace.final_bits))
     uniform_objective = evaluate(instance, uniform_allocation(instance)).objective
-    rounded_objective = trace.final_objective + report.gap_actual
+    rounded_objective = rounding["objective_rounded"]
     row.update(
         uniform_objective=uniform_objective,
         relaxed_objective=trace.final_objective,
         rounded_objective=rounded_objective,
         improvement_percent=100.0 * (uniform_objective - rounded_objective) / uniform_objective,
-        gap_bound=report.gap_bound,
+        gap_bound=rounding["gap_bound"],
         stationarity=kkt.stationarity_residual,
         termination=trace.termination.value,
         wall_seconds=wall,
@@ -385,8 +380,8 @@ _TABLES = {
         "trial seed m budget objective_relaxed objective_rounded gap_actual gap_bound "
         "simplified_gap_bound gap_ratio residual_budget distance_squared distance_bound "
         "stationarity budget_slack termination wall_seconds error",
-        lambda plan: range(plan.trials),
-        _rounding_gap_trial,
+        lambda plan: [(trial, "barrier") for trial in range(plan.trials)],
+        _solve_trial,
         partial(_statistics, ("gap_actual", "gap_bound", "gap_ratio")),
     ),
     Experiment.UNIFORM_SWEEP: (

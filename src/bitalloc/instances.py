@@ -83,6 +83,8 @@ class InstanceSpec:
             raise ValueError("from-files specs need paths.sensing_matrix")
         if not 0.0 <= self.budget_per_sensor < math.inf:
             raise ValueError(f"budget_per_sensor must be finite and nonnegative, got {self.budget_per_sensor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def load_spec(path) -> InstanceSpec:
@@ -106,15 +108,15 @@ def spec_from_dict(payload: dict) -> InstanceSpec:
     kappa, paths = payload.get("kappa", {}), payload.get("paths", {})
     if not (isinstance(kappa, dict) and isinstance(paths, dict) and all(isinstance(p, str) for p in paths.values())):
         raise MatrixFormatError("kappa must be a JSON object, and paths an object of file names")
+    given = {key: value for key in ("d", "m", "seed") if (value := _integer(payload, key)) is not None}
     try:
+        if "budget_per_sensor" in payload:
+            given["budget_per_sensor"] = float(payload["budget_per_sensor"])
         return InstanceSpec(
             kind=kind,
-            d=_integer(payload, "d"),
-            m=_integer(payload, "m"),
-            kappa=KappaRange(low=float(kappa.get("low", 0.8)), high=float(kappa.get("high", 1.2))),
-            budget_per_sensor=float(payload.get("budget_per_sensor", 2.0)),
-            seed=_integer(payload, "seed") or 0,
+            kappa=KappaRange(**{key: float(kappa[key]) for key in ("low", "high") if key in kappa}),
             paths=paths or None,
+            **given,
         )
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"invalid instance config: {exc}")
@@ -223,7 +225,10 @@ def load_matrix(path) -> np.ndarray:
     integers is read as a coordinate header "rows cols nnz"; anything else is
     parsed as dense comma-delimited rows.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not text
+        raise MatrixFormatError(f"{path}: cannot read: {exc}")
     lines = text.splitlines()
     data_lines = [
         (idx + 1, line.strip())

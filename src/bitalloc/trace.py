@@ -10,11 +10,10 @@ per record field, each cell a plain number, blank where the field is None.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
+from .instances import save_results
 from .model import BitVector
 
 
@@ -72,12 +71,9 @@ class SolveTrace:
 
 
 def write_trace(path, trace: SolveTrace) -> None:
-    """Write one iteration record per line, comma-delimited with a header.
+    """Write one iteration record per line, comma-delimited under the record's field names.
 
     csv writes None as an empty cell and a float, numpy scalars included, as
     its shortest repr: str(np.float64(x)) is repr(float(x)).
     """
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(f.name for f in fields(IterationRecord))
-        writer.writerows(vars(rec).values() for rec in trace.iterates)
+    save_results(path, map(vars, trace.iterates))

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 
+import bitalloc.cli
 from bitalloc.cli import _DEFAULT_SPECS, EXIT_PLAN_ERROR, _plan_from_args, build_parser, main
-from bitalloc.experiments import Experiment, ExperimentPlan
+from bitalloc.experiments import EXIT_ALL_FAILED, EXIT_OK, Experiment, ExperimentPlan
 
 
 def test_validate_passes(capsys):
@@ -89,6 +91,9 @@ def test_too_few_samples_is_plan_error(samples, capsys):
         ["sensor-scaling", "--sweep", "-5"],
         ["sensor-scaling", "--sweep", "0"],
         ["sensor-scaling", "--sweep", "nan"],
+        # numpy's generator rejected a negative seed deep inside instance generation
+        ["solve", "--seed", "-3"],
+        ["solve", "--seed", "-3", "--threads", "2"],
     ],
 )
 def test_bad_plan_values_are_plan_errors(argv, capsys):
@@ -165,3 +170,58 @@ def test_all_failed_exit_code(tmp_path):
     )
     code = main(["rounding-gap", "--config", str(config), "--trials", "2"])
     assert code == 2
+
+
+def _rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_missing_matrix_file_fails_every_row(tmp_path):
+    missing = tmp_path / "absent.mtx"
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"kind": "from-files", "paths": {"sensing_matrix": str(missing)}}))
+    out = tmp_path / "rows.csv"
+    code = main(["solve", "--config", str(config), "--trials", "2", "--out", str(out)])
+    assert code == EXIT_ALL_FAILED
+    errors = [row["error"] for row in _rows(out)]
+    assert len(errors) == 4
+    assert all(error.startswith("MatrixFormatError:") and str(missing) in error for error in errors)
+
+
+def test_unusable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setattr(bitalloc.cli, "run", lambda plan: pytest.fail("a trial ran"))
+    code = main(["solve", "--trials", "1", "--out", str(blocker / "rows.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_PLAN_ERROR
+    assert "plan error" in err and str(blocker) in err
+
+
+@pytest.fixture
+def unsaturated_config(tmp_path):
+    # plan seed 0: the barrier stops with about 0.74 of B = 200 unspent, so rounding's precondition fails
+    config = tmp_path / "gaussian.json"
+    config.write_text(json.dumps({"kind": "random-gaussian", "d": 8, "m": 100}))
+    return config
+
+
+def test_unsaturated_solve_row_notes_the_rounding(unsaturated_config, tmp_path):
+    out = tmp_path / "solve.csv"
+    argv = ["solve", "--solver", "barrier", "--trials", "1", "--config", str(unsaturated_config)]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    (row,) = _rows(out)
+    assert row["rounding_note"].startswith("continuous allocation must saturate the budget")
+    assert row["error"] == "" and row["objective_rounded"] == ""
+    assert float(row["budget_slack"]) > 0.5
+
+
+def test_unsaturated_rounding_gap_row_fails(unsaturated_config, tmp_path):
+    out = tmp_path / "gap.csv"
+    argv = ["rounding-gap", "--trials", "1", "--config", str(unsaturated_config)]
+    assert main(argv + ["--out", str(out)]) == EXIT_ALL_FAILED
+    (row,) = _rows(out)
+    assert row["error"].startswith("RoundingPreconditionError:")
+    assert row["objective_relaxed"] == "" and row["budget"] == "200.0"
+    assert not list(tmp_path.glob("gap.trace-*"))

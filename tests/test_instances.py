@@ -157,6 +157,14 @@ class TestMatrixIo:
         with pytest.raises(MatrixFormatError, match="no data"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe1 1 1\n"], ids=["missing", "binary"])
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "h.mtx"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(MatrixFormatError, match="h.mtx: cannot read"):
+            load_matrix(path)
+
     def test_duplicate_coordinate_entries_accumulate(self, tmp_path):
         path = tmp_path / "dup.mtx"
         path.write_text("1 1 2\n1 1 1.5\n1 1 2.5\n")
@@ -267,6 +275,7 @@ class TestSpecConfig:
             {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": [2.0]},
             {"kind": "from-files", "paths": ["sensing_matrix"]},
             {"kind": "from-files", "paths": {"sensing_matrix": 5}},
+            {"kind": "grid-laplacian", "d": 5, "seed": -2},
         ],
     )
     def test_malformed_config_is_plan_error(self, tmp_path, capsys, payload):
@@ -276,6 +285,13 @@ class TestSpecConfig:
             load_spec(path)
         assert main(["solve", "--config", str(path)]) == 1
         assert "plan error" in capsys.readouterr().err
+
+    def test_absent_keys_keep_the_spec_defaults(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "grid-laplacian", "d": 5, "kappa": {"low": 0.5}}))
+        spec = load_spec(path)
+        assert spec.kappa == KappaRange(0.5, KappaRange().high)
+        assert spec == InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=5, kappa=KappaRange(low=0.5))
 
     def test_integral_float_sizes_accepted(self, tmp_path):
         path = tmp_path / "spec.json"
