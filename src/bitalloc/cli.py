@@ -81,7 +81,10 @@ def main(argv=None) -> int:
     try:
         plan = _plan_from_args(args)
         if plan.output_path is not None:  # before any trial runs, so a bad --out loses no results
-            Path(plan.output_path).parent.mkdir(parents=True, exist_ok=True)
+            out = Path(plan.output_path)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            if out.is_dir():
+                raise IsADirectoryError(f"--out names a directory, not a CSV path: {out}")
     except (BitAllocationError, ValueError, OSError) as exc:
         print(f"bitalloc: plan error: {exc}", file=sys.stderr)
         return EXIT_PLAN_ERROR

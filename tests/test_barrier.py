@@ -16,6 +16,13 @@ def one_by_one(budget=2.0):
     return ProblemInstance.with_identity_prior([[1.0]], [1.0], budget)
 
 
+def _solve_and_round_grid(seed):
+    """The grid-barrier benchmark's c=2 solve of a d=50 grid: its trace and its rounded objective."""
+    instance = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=seed, budget_per_sensor=2.0))
+    trace, _ = solve_barrier(instance, BarrierConfig(mu_final=1e-11))
+    return trace, trace.final_objective + round_with_guarantees(instance, trace.final_bits).gap_actual
+
+
 class TestBarrierObjective:
     def test_hand_value(self):
         value, gradient = barrier_objective(one_by_one(), [1.0], mu=1.0)
@@ -166,13 +173,13 @@ class TestSolve:
             assert values == []
 
     def test_predictor_shortens_stages(self):
-        # a stage below mu=1 starts with a step along the central path's tangent;
-        # restarting Newton from the old centre took a median of 10 steps here
+        # a stage below the starting mu starts with a step along the central path's
+        # tangent; restarting Newton from the old centre took a median of 10 steps here
         per_stage = []
         for seed in range(700, 710):
             trace, _ = solve_barrier(generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=13, seed=seed)))
             mus = [rec.barrier_mu for rec in trace.iterates]
-            per_stage += [mus.count(mu) for mu in set(mus) if mu < 1.0]
+            per_stage += [mus.count(mu) for mu in set(mus) if mu < barrier_mod._MU_INITIAL]
         assert np.median(per_stage) <= 5
 
     def test_predictor_skips_a_zero_tangent(self):
@@ -190,6 +197,24 @@ class TestSolve:
         assert trace.termination is Termination.GAP_CONVERGED
         assert trace.iterations <= 120
 
+    @pytest.mark.parametrize(
+        "seed, answer_from_mu_one",
+        [(12842854, 4.91590), (1138324154, 3.77442), (1357569018, 3.94408), (1472057779, 5.07889)],
+    )
+    def test_early_stages_no_longer_steer_into_higher_basins(self, seed, answer_from_mu_one):
+        # a schedule from mu=1 with the predictor rounded these grids to the answers
+        # given, in 71-85 records; without the predictor they rounded lower
+        trace, rounded = _solve_and_round_grid(seed)
+        assert trace.termination is Termination.GAP_CONVERGED
+        assert len(trace.iterates) <= 45
+        assert rounded <= 0.96 * answer_from_mu_one
+
+    def test_lower_basin_found_by_the_predictor_is_kept(self):
+        trace, rounded = _solve_and_round_grid(1456755749)
+        assert trace.termination is Termination.GAP_CONVERGED
+        assert len(trace.iterates) <= 45
+        assert rounded == pytest.approx(4.56506, abs=5e-6)
+
     def test_agreement_with_conditional_gradient(self):
         # square case: the optimum is interior to the budget face, where the
         # conditional-gradient method converges without boundary drift
@@ -202,9 +227,9 @@ class TestSolve:
 
     def test_default_start_matches_near_uniform(self):
         inst = random_instance(7, d=4, m=5)
-        trace, _ = solve_barrier(inst, BarrierConfig(mu_final=0.5))
+        trace, _ = solve_barrier(inst, BarrierConfig(mu_final=0.5 * barrier_mod._MU_INITIAL))
         first = trace.iterates[0]
-        assert first.barrier_mu == pytest.approx(1.0)
+        assert first.barrier_mu == pytest.approx(barrier_mod._MU_INITIAL)
 
     def test_explicit_start_validated(self):
         inst = random_instance(8, d=3, m=4)
@@ -251,7 +276,7 @@ class TestSolve:
         with pytest.raises(LineSearchError) as exc_info:
             solve_barrier(inst)
         assert isinstance(exc_info.value, BitAllocationError)
-        assert exc_info.value.mu == 1.0
+        assert exc_info.value.mu == barrier_mod._MU_INITIAL
         assert exc_info.value.iteration == 0
         assert np.isfinite(exc_info.value.gradient_norm)
         assert len(calls) == 1 + barrier_mod._MAX_BACKTRACKS

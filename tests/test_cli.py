@@ -199,6 +199,15 @@ def test_unusable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
     assert "plan error" in err and str(blocker) in err
 
 
+def test_out_naming_a_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    # writing the summary into a directory raised IsADirectoryError after the trials had run
+    monkeypatch.setattr(bitalloc.cli, "run", lambda plan: pytest.fail("a trial ran"))
+    code = main(["rounding-gap", "--trials", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_PLAN_ERROR
+    assert "plan error" in err and str(tmp_path) in err
+
+
 @pytest.fixture
 def unsaturated_config(tmp_path):
     # plan seed 0: the barrier stops with about 0.74 of B = 200 unspent, so rounding's precondition fails
