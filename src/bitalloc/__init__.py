@@ -6,7 +6,7 @@ LMMSE error covariance is as small as possible, then rounds the continuous
 answer to integers with a certified quality gap.
 """
 
-from .barrier import BarrierConfig, BoundaryError, KktCertificate, LineSearchError, barrier_objective, solve_barrier
+from .barrier import BarrierConfig, BoundaryError, KktCertificate, LineSearchError, solve_barrier
 from .frank_wolfe import FwConfig, StepRule, fw_gap, lmo, separable_warm_start, solve_fw
 from .instances import (
     InstanceKind,
@@ -41,7 +41,6 @@ from .rounding import (
     RoundingReport,
     round_largest_remainder,
     round_with_guarantees,
-    rounding_gap_bound,
     verify_nearest_point,
 )
 from .experiments import Experiment, ExperimentPlan, RunResult, SolverChoice, run
@@ -78,7 +77,6 @@ __all__ = [
     "SolverChoice",
     "StepRule",
     "Termination",
-    "barrier_objective",
     "evaluate",
     "fw_gap",
     "generate",
@@ -93,7 +91,6 @@ __all__ = [
     "quantize",
     "round_largest_remainder",
     "round_with_guarantees",
-    "rounding_gap_bound",
     "run",
     "save_matrix",
     "save_results",

@@ -126,22 +126,6 @@ class KktCertificate:
     complementarity_residual: float
 
 
-def _interior_or_raise(instance: ProblemInstance, bits) -> np.ndarray:
-    arr = allocation_array(bits, instance.m)
-    slack = instance.budget - arr.sum()
-    if np.any(arr <= 0.0) or slack <= 0.0:
-        raise BoundaryError(
-            f"barrier undefined outside the strict interior (min b = {arr.min():.3e}, slack = {slack:.3e})"
-        )
-    return arr
-
-
-def barrier_objective(instance: ProblemInstance, bits, mu: float) -> tuple[float, np.ndarray]:
-    """Value and gradient of F(b) - mu*sum(log b) - mu*log(B - sum b)."""
-    arr = _interior_or_raise(instance, bits)
-    return _merit(evaluate(instance, arr), mu, arr, instance.budget - arr.sum())
-
-
 def _merit(ev, mu, b, slack):
     """Barrier merit at (b, slack) and its gradient in b, from the Evaluation of F at b."""
     value = ev.objective - mu * float(np.log(b).sum()) - mu * math.log(slack)
@@ -222,8 +206,12 @@ def solve_barrier(
         raise BoundaryError("barrier solver needs a strictly positive budget")
     if start is None:
         start = np.full(instance.m, (budget / instance.m) * (1.0 - 1e-6))
-    b = np.array(_interior_or_raise(instance, start))
+    b = np.array(allocation_array(start, instance.m))
     slack = budget - b.sum()
+    if np.any(b <= 0.0) or slack <= 0.0:
+        raise BoundaryError(
+            f"barrier undefined outside the strict interior (min b = {b.min():.3e}, slack = {slack:.3e})"
+        )
 
     clock = time.perf_counter
     t0 = clock()

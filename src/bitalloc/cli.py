@@ -9,6 +9,7 @@ not pass).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -85,6 +86,8 @@ def main(argv=None) -> int:
             out.parent.mkdir(parents=True, exist_ok=True)
             if out.is_dir():
                 raise IsADirectoryError(f"--out names a directory, not a CSV path: {out}")
+            if not os.access(out if out.exists() else out.parent, os.W_OK):  # a check, not an open: creates no file
+                raise PermissionError(f"--out cannot be written: {out}")
     except (BitAllocationError, ValueError, OSError) as exc:
         print(f"bitalloc: plan error: {exc}", file=sys.stderr)
         return EXIT_PLAN_ERROR

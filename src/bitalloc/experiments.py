@@ -12,8 +12,10 @@ such columns: compare's ``statistic`` rows ``fw_seconds`` and
 
 Individual trial failures are recorded in the row's ``error`` column and do
 not abort the plan; a plan whose trials all fail exits with code 2.
-Rounding-gap rows are the barrier's solve rows under their own header, and
-keep no trace.
+Every solver cell is one that a solve row holds: rounding-gap rows are the
+barrier's solve rows under their own header, and keep no trace; compare rows
+hold both solvers' cells under ``fw_`` and ``barrier_`` (objective, slack and
+seconds shorten three names), and uniform-sweep rows hold the barrier's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .frank_wolfe import FwConfig, StepRule, separable_warm_start, solve_fw
 from .instances import InstanceKind, InstanceSpec, generate, save_results, uniform_allocation
 from .model import BitAllocationError, ProblemInstance, evaluate
 from .quantizer import DitherMode, QuantizerBank, simulate_lmmse
-from .rounding import RoundingPreconditionError, RoundingReport, round_with_guarantees
+from .rounding import RoundingPreconditionError, round_with_guarantees
 from .trace import SolveTrace, write_trace
 
 EXIT_OK = 0
@@ -209,30 +211,44 @@ def _sweep_tasks(plan: ExperimentPlan) -> list[tuple[float, int]]:
     return [(value, trial) for value in plan.sweep_values for trial in range(plan.trials)]
 
 
+def _fill(row: dict, cells: dict, prefix: str = "") -> None:
+    """Set each cell whose name, after ``prefix``, is a column of the row."""
+    row.update((prefix + key, value) for key, value in cells.items() if prefix + key in row)
+
+
 def _trial_instance(plan: ExperimentPlan, trial: int, row: dict, **overrides) -> ProblemInstance:
     """Generate trial ``trial``'s instance (seed = plan seed + trial) and fill the trial, seed, d, m
     and budget cells the row has: trial and seed first, so a row whose instance fails still names it."""
     spec = replace(plan.instance_spec, seed=plan.seed + trial, **overrides)
-    row.update((key, value) for key, value in (("trial", trial), ("seed", spec.seed)) if key in row)
+    _fill(row, {"trial": trial, "seed": spec.seed})
     instance = generate(spec)
-    row.update((key, getattr(instance, key)) for key in ("d", "m", "budget") if key in row)
+    _fill(row, {key: getattr(instance, key) for key in ("d", "m", "budget")})
     return instance
 
 
 def _solve_one(plan, instance, solver: str):
-    """Run one solver; returns (trace, KKT certificate or None for fw, wall seconds)."""
+    """Run one solver; returns its trace and its cells under the solve row's column names."""
     t_start = time.perf_counter()
     if solver == "fw":
         trace = solve_fw(instance, FwConfig(time_limit=plan.time_limit), start=separable_warm_start(instance))
-        kkt = None
+        cells = dict(min_gap=trace.certificate.min_gap, certificate_bound=trace.certificate.rate_bound)
     else:
         trace, kkt = solve_barrier(instance, BarrierConfig(time_limit=plan.time_limit))
-    return trace, kkt, time.perf_counter() - t_start
+        cells = dict(stationarity=kkt.stationarity_residual, complementarity=kkt.complementarity_residual)
+    cells.update(
+        wall_seconds=time.perf_counter() - t_start,
+        objective_relaxed=trace.final_objective,
+        budget_slack=instance.budget - trace.final_bits.total,
+        iterations=trace.iterations,
+        termination=trace.termination.value,
+    )
+    return trace, cells
 
 
-def _rounding_columns(relaxed: float, report: RoundingReport) -> dict:
+def _rounding_cells(instance: ProblemInstance, trace: SolveTrace) -> dict:
+    report = round_with_guarantees(instance, trace.final_bits)
     return {
-        "objective_rounded": relaxed + report.gap_actual,
+        "objective_rounded": trace.final_objective + report.gap_actual,
         "gap_actual": report.gap_actual,
         "gap_bound": report.gap_bound,
         "simplified_gap_bound": report.simplified_gap_bound,
@@ -246,71 +262,41 @@ def _rounding_columns(relaxed: float, report: RoundingReport) -> dict:
 def _solve_trial(plan: ExperimentPlan, task: tuple[int, str], row: dict) -> SolveTrace:
     """Solve, then round; once rounding is done, fill the cells the row's header names."""
     trial, solver = task
-    if "solver" in row:
-        row["solver"] = solver
+    _fill(row, {"solver": solver})
     instance = _trial_instance(plan, trial, row)
-    trace, kkt, wall = _solve_one(plan, instance, solver)
-    cells = dict(
-        objective_relaxed=trace.final_objective,
-        budget_slack=instance.budget - trace.final_bits.total,
-        iterations=trace.iterations,
-        termination=trace.termination.value,
-        wall_seconds=wall,
-    )
-    if kkt is None:
-        cells.update(min_gap=trace.certificate.min_gap, certificate_bound=trace.certificate.rate_bound)
-    else:
-        cells.update(stationarity=kkt.stationarity_residual, complementarity=kkt.complementarity_residual)
+    trace, cells = _solve_one(plan, instance, solver)
     try:
-        report = round_with_guarantees(instance, trace.final_bits)
+        cells.update(_rounding_cells(instance, trace))
     except RoundingPreconditionError as exc:
         if "rounding_note" not in row:  # a rounding-gap row has nothing to show without rounding
             raise
         cells["rounding_note"] = str(exc)
-    else:
-        cells.update(_rounding_columns(trace.final_objective, report))
-    row.update((key, value) for key, value in cells.items() if key in row)
+    _fill(row, cells)
     return trace
 
 
 def _compare_trial(plan: ExperimentPlan, trial: int, row: dict) -> None:
+    short = {"objective_relaxed": "objective", "budget_slack": "slack", "wall_seconds": "seconds"}
     instance = _trial_instance(plan, trial, row)
-    fw, _, fw_wall = _solve_one(plan, instance, "fw")
-    ba, kkt, ba_wall = _solve_one(plan, instance, "barrier")
-    row.update(
-        fw_objective=fw.final_objective,
-        barrier_objective=ba.final_objective,
-        relative_difference=abs(fw.final_objective - ba.final_objective) / ba.final_objective,
-        fw_iterations=fw.iterations,
-        fw_termination=fw.termination.value,
-        fw_min_gap=fw.certificate.min_gap,
-        fw_certificate_bound=fw.certificate.rate_bound,
-        barrier_iterations=ba.iterations,
-        barrier_termination=ba.termination.value,
-        barrier_stationarity=kkt.stationarity_residual,
-        barrier_slack=instance.budget - ba.final_bits.total,
-        fw_seconds=fw_wall,
-        barrier_seconds=ba_wall,
-    )
+    for solver in ("fw", "barrier"):
+        _, cells = _solve_one(plan, instance, solver)
+        _fill(row, {short.get(key, key): value for key, value in cells.items()}, f"{solver}_")
+    row["relative_difference"] = abs(row["fw_objective"] - row["barrier_objective"]) / row["barrier_objective"]
 
 
 def _uniform_sweep_trial(plan: ExperimentPlan, task: tuple[float, int], row: dict) -> None:
     c, trial = task
     row["budget_per_sensor"] = c
     instance = _trial_instance(plan, trial, row, budget_per_sensor=float(c))
-    trace, kkt, wall = _solve_one(plan, instance, "barrier")
-    rounding = _rounding_columns(trace.final_objective, round_with_guarantees(instance, trace.final_bits))
+    trace, cells = _solve_one(plan, instance, "barrier")
+    cells.update(_rounding_cells(instance, trace))
+    _fill(row, cells)
     uniform_objective = evaluate(instance, uniform_allocation(instance)).objective
-    rounded_objective = rounding["objective_rounded"]
     row.update(
         uniform_objective=uniform_objective,
         relaxed_objective=trace.final_objective,
-        rounded_objective=rounded_objective,
-        improvement_percent=100.0 * (uniform_objective - rounded_objective) / uniform_objective,
-        gap_bound=rounding["gap_bound"],
-        stationarity=kkt.stationarity_residual,
-        termination=trace.termination.value,
-        wall_seconds=wall,
+        rounded_objective=cells["objective_rounded"],
+        improvement_percent=100.0 * (uniform_objective - cells["objective_rounded"]) / uniform_objective,
     )
 
 

@@ -110,10 +110,6 @@ class BitVector:
         object.__setattr__(self, "bits", arr)
         object.__setattr__(self, "is_integral", bool(np.all(arr == np.floor(arr))))
 
-    @classmethod
-    def zeros(cls, m: int) -> "BitVector":
-        return cls(np.zeros(m))
-
     def __len__(self) -> int:
         return self.bits.size
 
@@ -142,7 +138,6 @@ class ProblemInstance:
     prior_factor: np.ndarray = field(init=False, repr=False)
     prior_inverse: np.ndarray = field(init=False, repr=False)
     prior_spectral_norm: float = field(init=False)
-    prior_trace: float = field(init=False)
 
     def __post_init__(self):
         h = np.asarray(self.sensing_matrix, dtype=float)
@@ -175,7 +170,6 @@ class ProblemInstance:
             factor = np.eye(d)
             inverse = np.eye(d)
             spectral = 1.0
-            trace = float(d)
         else:
             scale = float(np.abs(cov).max()) or 1.0
             if not np.allclose(cov, cov.T, atol=1e-10 * scale, rtol=0.0):
@@ -188,7 +182,6 @@ class ProblemInstance:
                 spectral = float(np.linalg.eigvalsh(cov)[-1])
             except np.linalg.LinAlgError as exc:
                 raise FactorizationError(f"prior covariance eigensolve did not converge: {exc}") from exc
-            trace = float(np.trace(cov))
 
         object.__setattr__(self, "sensing_matrix", h)
         object.__setattr__(self, "prior_covariance", cov)
@@ -197,7 +190,6 @@ class ProblemInstance:
         object.__setattr__(self, "prior_factor", factor)
         object.__setattr__(self, "prior_inverse", inverse)
         object.__setattr__(self, "prior_spectral_norm", spectral)
-        object.__setattr__(self, "prior_trace", trace)
 
     @classmethod
     def with_identity_prior(cls, sensing_matrix, kappa, budget) -> "ProblemInstance":

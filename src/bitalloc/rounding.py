@@ -49,17 +49,12 @@ class RoundingReport:
     gap_actual: float | None = None
 
 
-def _continuous_array(b_bar, m: int | None = None) -> np.ndarray:
+def _continuous_array(b_bar) -> np.ndarray:
     """A checked allocation with roundoff negativity clipped to zero."""
-    arr = allocation_array(b_bar, m)
+    arr = allocation_array(b_bar)
     if np.any(arr < -NEGATIVITY_TOL):
         raise RoundingPreconditionError(f"negative component {arr.min():.3e} in continuous allocation")
     return np.maximum(arr, 0.0)
-
-
-def _residual_budget(budget: float, floors: np.ndarray) -> int:
-    """How many coordinates round up: budget - sum(floor(b)), rounded down to keep it feasible."""
-    return max(math.floor(budget - floors.sum() + 1e-9), 0)  # 1e-9: roundoff never loses a whole unit
 
 
 def round_largest_remainder(b_bar, budget: float) -> RoundingReport:
@@ -81,7 +76,7 @@ def round_largest_remainder(b_bar, budget: float) -> RoundingReport:
         )
     floors = np.floor(arr)
     remainders = arr - floors
-    residual = _residual_budget(budget, floors)
+    residual = max(math.floor(budget - floors.sum() + 1e-9), 0)  # 1e-9: roundoff never loses a whole unit
     order = np.argsort(-remainders, kind="stable")  # stable: ties go to the lowest index
     lift = np.zeros(arr.size)
     lift[order[:residual]] = 1.0
@@ -119,30 +114,17 @@ def verify_nearest_point(b_bar, rounded: BitVector) -> bool:
     return achieved <= best + 1e-12
 
 
-def rounding_gap_bound(instance: ProblemInstance, b_bar) -> tuple[float, float]:
-    """Objective-increase bound L/2 * sum r(1-r), and the coarser L/2 * min(R, m/4).
-
-    R is the number of coordinates :func:`round_largest_remainder` rounds up.
-    """
-    arr = _continuous_array(b_bar, instance.m)
-    lip = lipschitz_constant(instance)
-    floors = np.floor(arr)
-    remainders = arr - floors
-    bound = 0.5 * lip * float(np.sum(remainders * (1.0 - remainders)))
-    simplified = 0.5 * lip * min(float(_residual_budget(instance.budget, floors)), instance.m / 4.0)
-    return bound, simplified
-
-
 @single_blas_thread()
 def round_with_guarantees(instance: ProblemInstance, b_bar) -> RoundingReport:
-    """Full rounding report: geometry, objective gap, and its bounds."""
+    """Full rounding report: geometry, objective gap, and its bounds L/2 * sum r(1-r)
+    and L/2 * min(residual_budget, m/4)."""
     report = round_largest_remainder(b_bar, instance.budget)
-    gap_bound, simplified = rounding_gap_bound(instance, b_bar)
+    half_lip = 0.5 * lipschitz_constant(instance)
     objective_before = evaluate(instance, b_bar).objective
     objective_after = evaluate(instance, report.rounded_bits).objective
     return replace(
         report,
-        gap_bound=gap_bound,
-        simplified_gap_bound=simplified,
+        gap_bound=half_lip * report.distance_bound,
+        simplified_gap_bound=half_lip * min(float(report.residual_budget), instance.m / 4.0),
         gap_actual=objective_after - objective_before,
     )

@@ -11,7 +11,7 @@ arithmetic that would leak a raw ValueError or OverflowError.
 import numpy as np
 import pytest
 
-from bitalloc.barrier import barrier_objective, solve_barrier
+from bitalloc.barrier import solve_barrier
 from bitalloc.frank_wolfe import fw_gap, solve_fw
 from bitalloc.model import (
     BitAllocationError,
@@ -25,7 +25,6 @@ from bitalloc.quantizer import DitherMode, QuantizerBank, simulate_lmmse
 from bitalloc.rounding import (
     round_largest_remainder,
     round_with_guarantees,
-    rounding_gap_bound,
     verify_nearest_point,
 )
 
@@ -41,13 +40,11 @@ ENTRY_POINTS = {
     "objective_value": lambda b: objective_value(INSTANCE, b),
     "precision_from_bits": lambda b: precision_from_bits(INSTANCE, b),
     "hessian_exact": lambda b: hessian_exact(INSTANCE, b),
-    "barrier_objective": lambda b: barrier_objective(INSTANCE, b, 1e-3),
     "solve_barrier": lambda b: solve_barrier(INSTANCE, start=b),
     "solve_fw": lambda b: solve_fw(INSTANCE, start=b),
     "fw_gap": lambda b: fw_gap(b, np.full(M, -1.0), INSTANCE.budget),
     "round_largest_remainder": lambda b: round_largest_remainder(b, INSTANCE.budget),
     "verify_nearest_point": lambda b: verify_nearest_point(b, BitVector(GOOD)),
-    "rounding_gap_bound": lambda b: rounding_gap_bound(INSTANCE, b),
     "round_with_guarantees": lambda b: round_with_guarantees(INSTANCE, b),
     "QuantizerBank.for_allocation": lambda b: QuantizerBank.for_allocation(INSTANCE, b, DitherMode.SUBTRACTIVE, 0),
     "simulate_lmmse": lambda b: simulate_lmmse(INSTANCE, b, 10, BANK),
@@ -88,7 +85,5 @@ def test_malformed_allocation_raises_package_error(entry, bad):
 def test_well_formed_allocation_is_accepted(entry):
     if entry == "solve_barrier":  # GOOD saturates the budget: not strictly interior
         solve_barrier(INSTANCE, start=GOOD * 0.99)
-    elif entry == "barrier_objective":
-        barrier_objective(INSTANCE, GOOD * 0.99, 1e-3)
     else:
         ENTRY_POINTS[entry](GOOD)

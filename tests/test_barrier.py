@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bitalloc import barrier as barrier_mod, model as model_mod
-from bitalloc.barrier import BarrierConfig, BoundaryError, LineSearchError, barrier_objective, solve_barrier
+from bitalloc.barrier import BarrierConfig, BoundaryError, LineSearchError, solve_barrier
 from bitalloc.frank_wolfe import FwConfig, solve_fw
 from bitalloc.instances import InstanceKind, InstanceSpec, KappaRange, generate
 from bitalloc.model import BitAllocationError, FactorizationError, ProblemInstance, evaluate
@@ -23,16 +23,22 @@ def _solve_and_round_grid(seed):
     return trace, trace.final_objective + round_with_guarantees(instance, trace.final_bits).gap_actual
 
 
+def barrier_merit(instance, bits, mu):
+    """Value and gradient of F(b) - mu*sum(log b) - mu*log(B - sum b), through the solver's own merit."""
+    b = np.asarray(bits, dtype=float)
+    return barrier_mod._merit(evaluate(instance, b), mu, b, instance.budget - b.sum())
+
+
 class TestBarrierObjective:
     def test_hand_value(self):
-        value, gradient = barrier_objective(one_by_one(), [1.0], mu=1.0)
+        value, gradient = barrier_merit(one_by_one(), [1.0], mu=1.0)
         assert value == pytest.approx(0.2, rel=1e-12)  # F = 1/5, both logs vanish
         assert gradient.shape == (1,)
 
     def test_vanishing_barrier(self):
         inst = random_instance(0, d=4, m=6)
         bits = np.full(inst.m, inst.budget / inst.m * 0.8)
-        value, _ = barrier_objective(inst, bits, mu=1e-14)
+        value, _ = barrier_merit(inst, bits, mu=1e-14)
         assert value == pytest.approx(evaluate(inst, bits).objective, rel=1e-9)
 
     def test_gradient_matches_finite_differences(self):
@@ -40,16 +46,16 @@ class TestBarrierObjective:
         rng = np.random.default_rng(5)
         bits = inst.budget * 0.7 * rng.dirichlet(np.full(inst.m, 3.0))
         for mu in (1.0, 1e-3):
-            _, gradient = barrier_objective(inst, bits, mu)
-            numeric = fd_gradient(lambda x: barrier_objective(inst, x, mu)[0], bits, step=1e-6)
+            _, gradient = barrier_merit(inst, bits, mu)
+            numeric = fd_gradient(lambda x: barrier_merit(inst, x, mu)[0], bits, step=1e-6)
             np.testing.assert_allclose(gradient, numeric, rtol=1e-6)
 
     def test_boundary_rejected(self):
         inst = one_by_one()
         with pytest.raises(BoundaryError):
-            barrier_objective(inst, [0.0], 1.0)
+            solve_barrier(inst, start=[0.0])
         with pytest.raises(BoundaryError):
-            barrier_objective(inst, [2.0], 1.0)
+            solve_barrier(inst, start=[2.0])
 
 
 class TestSolve:

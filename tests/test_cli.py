@@ -208,6 +208,24 @@ def test_out_naming_a_directory_fails_before_the_run(tmp_path, monkeypatch, caps
     assert "plan error" in err and str(tmp_path) in err
 
 
+
+@pytest.mark.parametrize("exists", [True, False], ids=["existing-file", "new-file"])
+def test_unwritable_out_fails_before_the_run(exists, tmp_path, monkeypatch, capsys):
+    # an --out file that cannot be written was found only after every trial had run;
+    # access is patched because a permission bit does not stop the superuser
+    out = tmp_path / "run.csv"
+    if exists:
+        out.write_text("kept\n")
+    target = out if exists else tmp_path
+    real_access = bitalloc.cli.os.access
+    monkeypatch.setattr(bitalloc.cli.os, "access", lambda path, mode: path != target and real_access(path, mode))
+    monkeypatch.setattr(bitalloc.cli, "run", lambda plan: pytest.fail("a trial ran"))
+    code = main(["rounding-gap", "--trials", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_PLAN_ERROR
+    assert "plan error" in err and str(out) in err
+    assert (out.read_text() == "kept\n") if exists else not out.exists()
+
 @pytest.fixture
 def unsaturated_config(tmp_path):
     # plan seed 0: the barrier stops with about 0.74 of B = 200 unspent, so rounding's precondition fails

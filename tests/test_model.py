@@ -56,9 +56,6 @@ class TestBitVector:
         assert vec.feasible_for(2.0)
         assert not vec.feasible_for(1.5)
 
-    def test_zeros(self):
-        assert BitVector.zeros(4).total == 0.0
-
 
 class TestInstanceValidation:
     def test_zero_row_rejected(self):
@@ -109,13 +106,12 @@ class TestInstanceValidation:
         sensing, kappa = rng.standard_normal((7, 4)), rng.uniform(0.8, 1.2, size=7)
         explicit = ProblemInstance(sensing, np.eye(4), kappa, 14.0)
         unit = ProblemInstance.with_identity_prior(sensing, kappa, 14.0)
-        for name in ("prior_factor", "prior_inverse", "prior_spectral_norm", "prior_trace"):
+        for name in ("prior_factor", "prior_inverse", "prior_spectral_norm"):
             np.testing.assert_array_equal(getattr(explicit, name), getattr(unit, name))
 
     def test_cached_spectral_norm(self, rng):
         inst = random_instance(1, d=6, m=9, identity_prior=False)
         assert inst.prior_spectral_norm == pytest.approx(np.linalg.eigvalsh(inst.prior_covariance)[-1])
-        assert inst.prior_trace == pytest.approx(np.trace(inst.prior_covariance))
 
 
 class TestPrecisionFromBits:
@@ -161,7 +157,7 @@ class TestEvaluate:
             inst = random_instance(seed, identity_prior=(seed % 2 == 0))
             bits = random_feasible_bits(rng, inst)
             ev = evaluate(inst, bits)
-            assert 0.0 < ev.objective <= inst.prior_trace + 1e-12
+            assert 0.0 < ev.objective <= np.trace(inst.prior_covariance) + 1e-12
 
     def test_gradient_strictly_negative(self, rng):
         for seed in range(8):
@@ -310,5 +306,5 @@ def test_objective_positive_and_bounded_property(bits):
     rng = np.random.default_rng(m * 1000 + 17)
     inst = ProblemInstance.with_identity_prior(rng.standard_normal((m, 3)), np.full(m, 1.1), float(4 * m))
     ev = evaluate(inst, np.asarray(bits))
-    assert 0.0 < ev.objective <= inst.prior_trace + 1e-12
+    assert 0.0 < ev.objective <= np.trace(inst.prior_covariance) + 1e-12
     assert np.all(ev.gradient < 0.0)

@@ -8,7 +8,6 @@ from bitalloc.rounding import (
     RoundingPreconditionError,
     round_largest_remainder,
     round_with_guarantees,
-    rounding_gap_bound,
     verify_nearest_point,
 )
 
@@ -132,18 +131,16 @@ class TestGapBounds:
         for m, per_sensor, b_bar, spread, round_ups in cases:
             inst = random_instance(0, d=3, m=m, budget_per_sensor=per_sensor)
             half_lip = 0.5 * lipschitz_constant(inst)
-            bound, simplified = rounding_gap_bound(inst, np.array(b_bar))
-            assert bound == pytest.approx(half_lip * spread, rel=1e-12)
-            assert simplified == pytest.approx(half_lip * round_ups, rel=1e-12)
-            assert simplified >= bound
             report = round_with_guarantees(inst, np.array(b_bar))
-            assert (report.gap_bound, report.simplified_gap_bound) == (bound, simplified)
+            assert report.gap_bound == pytest.approx(half_lip * spread, rel=1e-12)
+            assert report.simplified_gap_bound == pytest.approx(half_lip * round_ups, rel=1e-12)
+            assert report.simplified_gap_bound >= report.gap_bound
 
     def test_integral_input_gives_zero(self):
         inst = random_instance(1, d=3, m=3, budget_per_sensor=2.0)
-        bound, simplified = rounding_gap_bound(inst, np.array([2.0, 2.0, 2.0]))
-        assert bound == 0.0
-        assert simplified == 0.0
+        report = round_with_guarantees(inst, np.array([2.0, 2.0, 2.0]))
+        assert report.gap_bound == 0.0
+        assert report.simplified_gap_bound == 0.0
 
     def test_gap_bound_holds_at_kkt_points(self):
         for seed in range(3):
