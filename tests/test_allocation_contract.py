@@ -5,7 +5,9 @@ the right number of entries, an empty vector and a vector of the wrong
 length.  Allocation shape and finiteness are decided in one place,
 ``model.allocation_array``, and each entry point must reach it before any
 arithmetic that would leak a raw ValueError or OverflowError.
-``round_largest_remainder`` takes no instance, so no length is wrong for it.
+``BitVector`` and ``round_largest_remainder`` take no instance, so no
+length is wrong for them.  ``verify_nearest_point`` takes two allocations
+and checks both.
 """
 
 import numpy as np
@@ -36,6 +38,7 @@ GOOD = np.full(M, INSTANCE.budget / M)  # integral and budget-saturating
 BANK = QuantizerBank.for_allocation(INSTANCE, GOOD, DitherMode.SUBTRACTIVE, seed=0)
 
 ENTRY_POINTS = {
+    "BitVector": lambda b: BitVector(b),
     "evaluate": lambda b: evaluate(INSTANCE, b),
     "objective_value": lambda b: objective_value(INSTANCE, b),
     "precision_from_bits": lambda b: precision_from_bits(INSTANCE, b),
@@ -45,6 +48,7 @@ ENTRY_POINTS = {
     "fw_gap": lambda b: fw_gap(b, np.full(M, -1.0), INSTANCE.budget),
     "round_largest_remainder": lambda b: round_largest_remainder(b, INSTANCE.budget),
     "verify_nearest_point": lambda b: verify_nearest_point(b, BitVector(GOOD)),
+    "verify_nearest_point_rounded": lambda b: verify_nearest_point(GOOD, b),
     "round_with_guarantees": lambda b: round_with_guarantees(INSTANCE, b),
     "QuantizerBank.for_allocation": lambda b: QuantizerBank.for_allocation(INSTANCE, b, DitherMode.SUBTRACTIVE, 0),
     "simulate_lmmse": lambda b: simulate_lmmse(INSTANCE, b, 10, BANK),
@@ -71,7 +75,7 @@ CASES = [
     (entry, bad)
     for entry in ENTRY_POINTS
     for bad in MALFORMED
-    if not (entry == "round_largest_remainder" and bad == "wrong-length")
+    if not (entry in ("BitVector", "round_largest_remainder") and bad == "wrong-length")
 ]
 
 
