@@ -15,8 +15,11 @@ objective and G = H C.  The evaluation keeps G, not the factor; the gradient
 and the Hessian ln(4)^2 * 2 (rho o GH') o (GG' o rho) + diag(ln(4) grad) (o
 elementwise) are read from G in O(m^2 d), with no further solve.  Every
 factorization goes through :func:`cholesky_lower`, so tests can count or
-sabotage them.  The kernel does not pin BLAS threads: its callers, the solvers
-and :func:`hessian_exact`, run inside :func:`~bitalloc._blas.single_blas_thread`.
+sabotage them.  :func:`evaluate`, :func:`objective_value` and
+:func:`hessian_exact` run inside :func:`~bitalloc._blas.single_blas_thread`,
+so a bare call does not leave an OpenBLAS worker spinning on another core;
+inside a solver, which holds the scope already, that costs about a
+microsecond per call.
 """
 
 from __future__ import annotations
@@ -262,6 +265,7 @@ def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, 
     return rho, inv_factor, float(np.sum(inv_factor * inv_factor))
 
 
+@single_blas_thread()
 def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     """Objective and gradient at an allocation, via one Cholesky factorization.
 
@@ -285,6 +289,7 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     return Evaluation(objective=objective, gradient=gradient, precisions=rho, cov_h=cov_h)
 
 
+@single_blas_thread()
 def objective_value(instance: ProblemInstance, bits) -> float:
     """Objective alone, skipping the gradient extraction.
 

@@ -2,6 +2,8 @@
 
 import multiprocessing
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,25 @@ def test_overlapping_scopes_on_two_threads():
     assert counts() == [PRIOR, PRIOR]
 
 
+def test_nested_entry_calls_no_thread_setter(monkeypatch):
+    calls = []
+    fake = ((lambda: 3, lambda count: calls.append(("numpy", count))),
+            (lambda: 5, lambda count: calls.append(("scipy", count))))
+
+    def controls():
+        calls.append("controls")
+        return fake
+
+    monkeypatch.setattr(_blas, "_controls", controls)
+    with _blas.single_blas_thread():
+        entered = list(calls)
+        with _blas.single_blas_thread():
+            _blas.single_blas_thread()(lambda: None)()
+        assert calls == entered
+    assert entered == ["controls", ("numpy", 1), ("scipy", 1)]
+    assert calls[len(entered):] == [("numpy", 3), ("scipy", 5)]
+
+
 def test_without_handles_the_scope_does_nothing(monkeypatch):
     monkeypatch.setattr(_blas, "_controls", lambda: ())
 
@@ -100,6 +121,9 @@ ENTRY_POINTS = {
     "round_with_guarantees": lambda: round_with_guarantees(GRID, GRID_BITS),
     "simulate_lmmse": lambda: simulate_lmmse(GRID, np.floor(GRID_BITS), 200, BANK),
     "hessian_exact": lambda: model.hessian_exact(GRID, GRID_BITS),
+    # bare kernel calls, as a library user or the benchmark's uniform baseline makes them
+    "evaluate": lambda: model.evaluate(GRID, GRID_BITS),
+    "objective_value": lambda: model.objective_value(GRID, GRID_BITS),
     # the sweep's uniform baseline is evaluated by the harness itself, outside any solver
     "experiments.run": lambda: run(SWEEP_PLAN),
 }
@@ -124,3 +148,36 @@ def test_entry_points_factor_on_one_thread(name, monkeypatch):
     ENTRY_POINTS[name]()
     assert factorizations.value > 0
     assert counts() == [PRIOR, PRIOR]
+
+
+TASKS = Path("/proc/self/task")
+
+
+def thread_cpu_ticks() -> dict[int, int]:
+    """User plus system CPU time of each thread of this process, in clock ticks."""
+    ticks = {}
+    for task in TASKS.iterdir():
+        try:
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread has exited
+            continue
+        ticks[int(task.name)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not TASKS.is_dir(), reason="per-thread CPU times are read from /proc/self/task")
+def test_bare_evaluate_leaves_no_blas_worker_spinning():
+    # at d=50, m=1000 an unpinned evaluate hands work to an OpenBLAS worker, which then spins on another core
+    tall = generate(InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=50, m=1000, seed=1, budget_per_sensor=0.1))
+    bits = np.full(tall.m, tall.budget / tall.m)
+    model.evaluate(tall, bits)
+    time.sleep(0.5)  # workers that earlier calls woke go back to sleep
+    before = thread_cpu_ticks()
+    for _ in range(200):
+        model.evaluate(tall, bits)
+    after = thread_cpu_ticks()
+    main = threading.get_native_id()
+    own = after[main] - before[main]
+    others = sum(count - before.get(tid, 0) for tid, count in after.items() if tid != main)
+    assert own > 0
+    assert others < 0.1 * own, f"other threads used {others} ticks against the main thread's {own}"

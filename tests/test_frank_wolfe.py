@@ -1,11 +1,14 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bitalloc import frank_wolfe as fw_mod
 from bitalloc.frank_wolfe import FwConfig, StepRule, fw_gap, lmo, separable_warm_start, solve_fw
 from bitalloc.instances import InstanceKind, InstanceSpec, generate
-from bitalloc.model import MAX_BITS, BitVector, DimensionMismatchError, ProblemInstance
+from bitalloc.model import LN4, MAX_BITS, BitVector, DimensionMismatchError, ProblemInstance
 from bitalloc.trace import Termination, write_trace
 
 from conftest import random_instance
@@ -218,6 +221,98 @@ class TestPairwise:
         fresh = fw_mod.evaluate(inst, trace.final_bits)
         assert trace.final_objective == fresh.objective
         assert trace.iterates[-1].gap == fw_gap(trace.final_bits, fresh.gradient, inst.budget)
+
+
+def reference_trial(pair, gamma):
+    """A pair trial as numpy calls on k-element arrays: the formulas the scalar trial must reproduce.
+
+    Also returns the slope's scale, the same sum with every term taken in
+    absolute value, against which its rounding is measured.
+    """
+    bits, dirs, rho = np.array(pair.bits), np.array(pair.dirs), np.array(pair.rho)
+    m_pair, n_pair = np.array(pair.m), np.array(pair.n)
+    moved = np.minimum(np.maximum(bits + gamma * dirs, 0.0), MAX_BITS)
+    if gamma == pair.gamma_max and pair.pin is not None:
+        moved[pair.pin[0]] = pair.pin[1]
+    drho = rho * np.expm1(LN4 * (moved - bits))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.eye(bits.size) + m_pair * drho
+        if bits.size == 1:
+            inv = 1.0 / a
+        else:
+            inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        k = drho[:, None] * inv
+        r = inv.T
+        slope = float(-LN4 * (rho + drho) * (r * (n_pair @ r)).sum(axis=0) @ dirs)
+        scale = float(LN4 * np.abs(rho + drho) * (np.abs(r) * (np.abs(n_pair) @ np.abs(r))).sum(axis=0) @ np.abs(dirs))
+        return moved, drho, k, float((k * n_pair).sum()), slope, scale
+
+
+def make_pair(bits, dirs, rho, sensing, cov_h, gamma_max=1.0, pin=None):
+    """A _Pair over coordinates 0..k-1 of a stand-in state whose rows are the pair's own."""
+    state = SimpleNamespace(rho=np.array(rho, dtype=float), sensing=np.array(sensing), cov_h=np.array(cov_h))
+    return fw_mod._Pair(state, np.array(bits, dtype=float), list(range(len(bits))), list(dirs), gamma_max, pin)
+
+
+def fails_every_test(decrease, slope):
+    """Neither the sufficient-decrease test nor the secant's stopping test can accept these values."""
+    return not decrease >= 0.0 and not abs(slope) < math.inf
+
+
+@st.composite
+def pair_trials(draw):
+    k = draw(st.sampled_from([1, 2]))
+    d = draw(st.integers(1, 5))
+    entries = st.floats(-10.0, 10.0)
+    budget = draw(st.floats(0.1, 1000.0))
+    bits = draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k))
+    # two coordinates: the oracle's gains bits, the away vertex's loses them; one: either
+    dirs = [budget, -budget] if k == 2 else [draw(st.sampled_from([budget, -budget]))]
+    rho = draw(st.lists(st.floats(1e-6, 1e3), min_size=k, max_size=k))
+    sensing = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=k, max_size=k))
+    cov_h = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=k, max_size=k))
+    gamma_max = draw(st.floats(1e-6, 20.0)) / budget
+    pinned = draw(st.booleans())
+    pin = (draw(st.integers(0, k - 1)), draw(st.sampled_from([0.0, MAX_BITS]))) if pinned else None
+    gamma = gamma_max if pinned else draw(st.floats(0.0, 1.0)) * gamma_max
+    return make_pair(bits, dirs, rho, sensing, cov_h, gamma_max, pin), gamma
+
+
+class TestPairTrial:
+    @given(pair_trials())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_numpy_formulas(self, case):
+        pair, gamma = case
+        moved, drho, k, decrease, slope = pair.trial(gamma)
+        ref_moved, ref_drho, ref_k, ref_decrease, ref_slope, scale = reference_trial(pair, gamma)
+        assume(np.all(np.isfinite(ref_k)) and math.isfinite(ref_slope))
+        assert np.array(moved).tobytes() == ref_moved.tobytes()
+        assert np.array(drho).tobytes() == ref_drho.tobytes()
+        assert np.array(k).tobytes() == ref_k.tobytes()
+        assert decrease == ref_decrease
+        # the scalar slope rounds each product where the BLAS dot and 2x2 product fuse multiply-adds
+        assert abs(slope - ref_slope) <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cancelling_pivot_fails_every_test(self, k):
+        # drho_0 = 1 * expm1(ln 4) = 3 and M_00 = -1/3: the pivot 1 + M_00 * drho_0 is exactly zero
+        pair = make_pair([1.0, 1.0][:k], [1.0, -1.0][:k], [1.0, 1.0][:k], np.eye(k), np.eye(k), gamma_max=2.0)
+        pair.m = [[-1.0 / 3.0, 0.0], [0.0, 0.0]] if k == 2 else [[-1.0 / 3.0]]
+        _, drho, _, decrease, slope = pair.trial(1.0)
+        assert drho[0] == 3.0 and 1.0 + pair.m[0][0] * drho[0] == 0.0
+        assert fails_every_test(decrease, slope)
+        assert not math.isfinite(reference_trial(pair, 1.0)[3])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_expm1_overflow_fails_every_test(self, k):
+        # 556 bits gained: 4**556 overflows, so drho_0 is infinite
+        pair = make_pair([-300.0, 5.0][:k], [1.0, -1.0][:k], [1.0, 1.0][:k], np.ones((k, 2)), np.ones((k, 2)))
+        with np.errstate(over="ignore"):
+            _, drho, _, decrease, slope = pair.trial(600.0)
+            reference = reference_trial(pair, 600.0)
+        assert drho[0] == math.inf
+        assert fails_every_test(decrease, slope)
+        assert not math.isfinite(reference[3])
 
 
 class TestSeparableWarmStart:
