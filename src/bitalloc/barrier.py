@@ -134,7 +134,7 @@ def _merit(ev, mu, b, slack):
 
 def _trial(instance, mu, b, slack):
     """Merit, gradient and Evaluation at a line-search trial; an infinite merit where it is undefined."""
-    if np.any(b <= 0.0) or slack <= 0.0:
+    if (b <= 0.0).any() or slack <= 0.0:
         return np.inf, None, None
     try:
         ev = evaluate(instance, b)
@@ -147,22 +147,23 @@ def _trial(instance, mu, b, slack):
 
 def _newton_direction(instance, mu, b, slack, grad, ev):
     """Solve grad^2 merit p = -grad; where that matrix is indefinite, drop diag(ln(4) grad F) from it."""
-    hess = model.objective_hessian(instance, ev) + mu / (slack * slack)
-    diagonal = np.diag_indices_from(hess)
-    hess[diagonal] += mu / (b * b)
+    hess = model.objective_hessian(instance, ev)  # a fresh array, shifted in place
+    hess += mu / (slack * slack)
+    diagonal = hess.reshape(-1)[:: hess.shape[0] + 1]
+    diagonal += mu / (b * b)
     try:
         factor = model.cholesky_lower(hess)
     except FactorizationError:
-        hess[diagonal] -= LN4 * ev.gradient
+        diagonal -= LN4 * ev.gradient
         factor = model.cholesky_lower(hess)
     return -model.cholesky_solve(factor, grad)
 
 
 def _fraction_to_boundary(b, p, slack, advance):
-    t_max = min(1.0, _MAX_BIT_STEP / float(np.max(np.abs(p))))
+    t_max = min(1.0, _MAX_BIT_STEP / float(np.abs(p).max()))
     neg = p < 0.0
-    if np.any(neg):
-        t_max = min(t_max, _BOUNDARY_FRACTION * float(np.min(b[neg] / -p[neg])))
+    if neg.any():
+        t_max = min(t_max, _BOUNDARY_FRACTION * float((b[neg] / -p[neg]).min()))
     if advance > 0.0:
         t_max = min(t_max, _BOUNDARY_FRACTION * slack / advance)
     return t_max
@@ -175,13 +176,13 @@ def _predict(instance, old_weight, weight, b, slack, ev, grad_norm):
     step is kept only if the new stage's gradient max-norm falls.
     """
     p = _newton_direction(instance, old_weight, b, slack, (weight - old_weight) * (1.0 / slack - 1.0 / b), ev)
-    if not np.any(p):
+    if not p.any():
         return None
     advance = float(p.sum())
     t = _fraction_to_boundary(b, p, slack, advance)
     b_new, slack_new = b + t * p, slack - t * advance
     trial = _trial(instance, weight, b_new, slack_new)
-    if trial[2] is None or float(np.max(np.abs(trial[1]))) >= grad_norm:
+    if trial[2] is None or float(np.abs(trial[1]).max()) >= grad_norm:
         return None
     return b_new, slack_new, t, trial
 
@@ -231,12 +232,12 @@ def solve_barrier(
         if stage < len(mus) - 1:
             tol = max(tol, _PATH_TRACK_FACTOR * weight)
         val, grad = _merit(ev, weight, b, slack)
-        grad_norm = float(np.max(np.abs(grad)))
+        grad_norm = float(np.abs(grad).max())
         if stage > 0:
             predicted = _predict(instance, mus[stage - 1] * scale, weight, b, slack, ev, grad_norm)
             if predicted is not None:
                 b, slack, t, (val, grad, ev) = predicted
-                grad_norm = float(np.max(np.abs(grad)))
+                grad_norm = float(np.abs(grad).max())
                 records.append(IterationRecord(len(records), ev.objective, grad_norm, t, None, mu, clock() - t0))
         for inner in range(_MAX_INNER_ITERATIONS):
             if grad_norm <= tol:
@@ -269,7 +270,7 @@ def solve_barrier(
                 ev = evaluate(instance, b)
                 trial = (*_merit(ev, weight, b, slack), ev)
             val, grad, ev = trial
-            grad_norm = float(np.max(np.abs(grad)))
+            grad_norm = float(np.abs(grad).max())
             records.append(IterationRecord(len(records), ev.objective, grad_norm, t, None, mu, clock() - t0))
         if out_of_time:
             break

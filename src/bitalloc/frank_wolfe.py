@@ -384,14 +384,18 @@ def solve_fw(instance: ProblemInstance, config: FwConfig | None = None, start=No
     """Run the conditional-gradient method from the origin or a warm start.
 
     Every iterate is a convex combination of feasible points, so feasibility
-    is preserved exactly.  The default step rule takes pairwise steps on
-    rank-two updated state (see the module docstring): intermediate records
-    carry the updated objective and gap, and the final record, the returned
-    objective and the stopping test come from a fresh evaluation at the
-    returned point.  The certificate pairs the best recorded gap with the
-    max(2*h0, 2*L*B^2)/sqrt(T+1) envelope, where h0 is the observed
-    objective drop.  Without a configured cap it stops after the larger of
-    2000 and 5m iterations: a pairwise step moves only one pair of coordinates.
+    holds up to roundoff: each coordinate of a step is rounded on its own,
+    and the total can exceed the budget by a few ulps of B (7.1e-15 on the
+    golden solve-fw-steps case), far inside the 1e-9 that
+    BitVector.feasible_for accepts.  The default step rule takes pairwise
+    steps on rank-two updated state (see the module docstring):
+    intermediate records carry the updated objective and gap, and the final
+    record, the returned objective and the stopping test come from a fresh
+    evaluation at the returned point.  The certificate pairs the best
+    recorded gap with the max(2*h0, 2*L*B^2)/sqrt(T+1) envelope, where h0 is
+    the observed objective drop.  Without a configured cap it stops after
+    the larger of 2000 and 5m iterations: a pairwise step moves only one pair
+    of coordinates.
     """
     cfg = config or FwConfig()
     budget = instance.budget

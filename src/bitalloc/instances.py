@@ -137,19 +137,45 @@ def kappa_from_dynamic_range(dynamic_range) -> np.ndarray:
     return 12.0 / r**2
 
 
+def _rows(rng, highs, batch: int):
+    """Endless draws of ``rng.integers(0, highs)`` (an int, or a row for a list), ``batch`` per call."""
+    while True:
+        yield from rng.integers(0, highs, size=(batch, *np.shape(highs))).tolist()
+
+
+def _rewind(rng, state: dict, highs, taken: int) -> None:
+    """Put rng back at ``state`` and redraw, in one call, the ``taken`` draws of ``highs`` made since."""
+    rng.bit_generator.state = state
+    rng.integers(0, highs, size=(taken, *np.shape(highs)))
+
+
 def _connected_edges(rng, n_nodes: int, n_edges: int) -> list[tuple[int, int]]:
     # Aldous-Broder: a walk on the complete graph that keeps the edge by which
-    # it first reaches each node draws a uniform spanning tree.
+    # it first reaches each node draws a uniform spanning tree.  Both loops
+    # draw in batches and then rewind the stream to redraw just the rows they
+    # used: numpy's bounded integers take the same values from the stream in
+    # one call as in many, Lemire rejections included, so rng ends where one
+    # call per row would leave it.
     edges, visited, node = set(), {0}, 0
-    while len(visited) < n_nodes:
-        step = int(rng.integers(n_nodes - 1))
+    highs, start = n_nodes - 1, rng.bit_generator.state
+    for taken, step in enumerate(_rows(rng, highs, 4 * n_nodes), 1):
         nxt = step + (step >= node)  # uniform over the other nodes
         if nxt not in visited:
             visited.add(nxt)
             edges.add((min(node, nxt), max(node, nxt)))
+            if len(visited) == n_nodes:
+                break
         node = nxt
+    _rewind(rng, start, highs, taken)
+    # Extra edges take the draws of rng.choice(n_nodes, size=2, replace=False),
+    # Floyd's algorithm: u on [0, n-2], then v on [0, n-1], which becomes n-1
+    # if it equals u, then one draw that shuffles the pair.
+    highs, start, taken = [n_nodes - 1, n_nodes, 2], rng.bit_generator.state, 0
+    pairs = _rows(rng, highs, n_nodes)
     while len(edges) < n_edges:
-        edges.add(tuple(sorted(rng.choice(n_nodes, size=2, replace=False).tolist())))
+        (u, v, _), taken = next(pairs), taken + 1
+        edges.add((min(u, v), max(u, v)) if v != u else (u, n_nodes - 1))
+    _rewind(rng, start, highs, taken)
     return sorted(edges)
 
 
@@ -164,14 +190,12 @@ def _grid_laplacian(rng, d: int) -> np.ndarray:
     row/column are removed, leaving a diagonally dominant SPD matrix.
     """
     n = d + 1
-    edges = _connected_edges(rng, n, min(n * (n - 1) // 2, round(1.5 * n)))
+    edges = np.array(_connected_edges(rng, n, min(n * (n - 1) // 2, round(1.5 * n))))
     weights = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=len(edges)))
     lap = np.zeros((n, n))
-    for (i, j), w in zip(edges, weights):
-        lap[i, i] += w
-        lap[j, j] += w
-        lap[i, j] -= w
-        lap[j, i] -= w
+    # each edge is listed once, and bincount adds a node's weights in edge order
+    lap[edges[:, 0], edges[:, 1]] = lap[edges[:, 1], edges[:, 0]] = -weights
+    np.fill_diagonal(lap, np.bincount(edges.ravel(), weights=np.repeat(weights, 2), minlength=n))
     return lap[1:, 1:]
 
 

@@ -19,7 +19,10 @@ sabotage them.  :func:`evaluate`, :func:`objective_value` and
 :func:`hessian_exact` run inside :func:`~bitalloc._blas.single_blas_thread`,
 so a bare call does not leave an OpenBLAS worker spinning on another core;
 inside a solver, which holds the scope already, that costs about a
-microsecond per call.
+microsecond per call.  At d = m = 50 (one BLAS thread, 2 shared x86_64
+cores) an evaluation takes about 57 us, of which the factorization and the
+triangular inverse are about 33 us, and :func:`objective_hessian`, built in
+place on its two products, about 24 us.
 """
 
 from __future__ import annotations
@@ -237,7 +240,7 @@ def allocation_array(bits, m: int | None = None) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(bits, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatchError(f"allocation must be a nonempty 1-D vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise BitRangeError("allocation has non-finite components")
     if m is not None and arr.size != m:
         raise DimensionMismatchError(f"allocation must have length {m}, got {arr.size}")
@@ -247,7 +250,7 @@ def allocation_array(bits, m: int | None = None) -> np.ndarray:
 def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
     """Per-channel precision kappa_i * 4**b_i for an allocation."""
     arr = allocation_array(bits, instance.m)
-    if np.any(arr > MAX_BITS):
+    if (arr > MAX_BITS).any():
         bad = int(np.argmax(arr))
         raise BitRangeError(f"bit value {arr[bad]:.6g} at index {bad} exceeds overflow guard {MAX_BITS:g}")
     return instance.kappa * 4.0 ** arr
@@ -258,11 +261,10 @@ def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, 
     rho = precision_from_bits(instance, bits)
     scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
     info = instance.prior_inverse + scaled.T @ scaled
-    factor = cholesky_lower(info)
-    inv_factor, status = dtrtri(factor, lower=1)
+    inv_factor, status = dtrtri(cholesky_lower(info), lower=1, overwrite_c=1)
     if status != 0:
         raise FactorizationError(f"triangular inverse failed (info {status})")
-    return rho, inv_factor, float(np.sum(inv_factor * inv_factor))
+    return rho, inv_factor, float((inv_factor * inv_factor).sum())
 
 
 @single_blas_thread()
@@ -317,13 +319,18 @@ def objective_hessian(instance: ProblemInstance, ev: Evaluation) -> np.ndarray:
     bit-space problem nonconvex.  Symmetrized to kill roundoff asymmetry.
     """
     rho = ev.precisions
-    cross = ev.cov_h @ instance.sensing_matrix.T
+    # Built in place on the two fresh products, in the order of
+    # (2 ln(4)^2 * (rho o X)) o (Y o rho): each factor is scaled separately, so
+    # the balanced products stay representable even when allocations differ
+    # by hundreds of bits.
+    hess = ev.cov_h @ instance.sensing_matrix.T
     cross_sq = ev.cov_h @ ev.cov_h.T
-    # Scale each factor separately; the balanced products stay representable
-    # even when allocations differ by hundreds of bits.
-    hess = (2.0 * LN4 * LN4) * (rho[:, None] * cross) * (cross_sq * rho[None, :])
-    hess[np.diag_indices_from(hess)] += LN4 * ev.gradient
-    return 0.5 * (hess + hess.T)
+    hess *= rho[:, None]
+    hess *= 2.0 * LN4 * LN4
+    cross_sq *= rho[None, :]
+    hess *= cross_sq
+    hess.reshape(-1)[:: hess.shape[0] + 1] += LN4 * ev.gradient
+    return np.multiply(0.5, np.add(hess, hess.T, out=cross_sq), out=cross_sq)
 
 
 @single_blas_thread()

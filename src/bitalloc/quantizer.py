@@ -166,7 +166,13 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     scaled = h * np.sqrt(weights)[:, None]
     factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
     estimates = cholesky_solve(factor, rhs)
-    squared_errors = np.sum((estimates - states) ** 2, axis=0)
+    # the spent right-hand side takes the errors in place; it is C-ordered
+    # like states, so the sum over axis 0 adds each sample's squares row by
+    # row (over a Fortran-ordered buffer it would sum them pairwise, and the
+    # last digit of the mean would move)
+    errors = np.subtract(estimates, states, out=rhs)
+    errors *= errors
+    squared_errors = errors.sum(axis=0)
     empirical_mse = float(squared_errors.mean())
     standard_error = float(squared_errors.std(ddof=1) / np.sqrt(n))
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,82 @@ class TestScaleFree:
         trace, _ = solve_barrier(generate(spec), BarrierConfig(mu_final=1e-11))
         assert trace.termination is Termination.GAP_CONVERGED
         assert trace.iterations < 200
+
+
+class TestBitIdentity:
+    """The in-place per-step kernels reproduce the barrier's arithmetic bit for bit.
+
+    The digests were recorded with a fresh array per operation of the Hessian
+    and its shifts, ``np.diag_indices_from`` updates of their diagonals and
+    ``dtrtri`` on a copy of the factor (``reference_hessian`` and
+    ``reference_evaluate`` in test_model.py keep those formulas).
+    """
+
+    # d=50 grids from grid-barrier's seed-1 pool: (seed, c, mu_final or None for
+    # the default) -> (sha256 of the final bits, sha256 of every record's
+    # objective, gap, step and mu reprs, number of records)
+    PINS = {
+        (915810598, 2.0, 1e-11): ("79b7b1a17454b77facdbfee9e2f6d8c31c46db9e3bdae14d366111ca016db682",
+                                  "a947d8c5b9f27bb02c95d2daec306e077efd5d3f0df98b1782c3f756da57ab9b", 40),
+        (915810598, 7.0, 1e-11): ("a956ac981f6c6a429f96823b62d5bc55d4897c2867dfabfd6013a1a7fbd87d89",
+                                  "ffa5b1aa3cac49bb7c7e3021c44d3e81523ded84d057359cd72d2e0e66d5b1f8", 21),
+        (1070547931, 2.0, 1e-11): ("76736e534c90076d69e6a3f34598b81894c3d3ffde6a00b090e7571152fcbd49",
+                                   "450ea71980a1ae67c7b63db5a27df5ea1c3e95a71417e3180250ac878ae04bd4", 39),
+        (1070547931, 7.0, 1e-11): ("370c6b91a53a0d67f1b0e327843086628dcd84c9badf0794c906eb701c3beffd",
+                                   "363908615b0de9f5170c172d89ed2edaa370f06679835c9fd8891149ce8a0ce0", 21),
+        (328512741, 2.0, 1e-11): ("3cba0039d6ef1acd7904f45e8e6797cac9180c84771b13114424aced16a1240d",
+                                  "ef1e53113d157b44120313d03318e25f0e7021a860bde399015a08825779f9e2", 39),
+        (328512741, 7.0, 1e-11): ("7277b7cc637fca65a17bf058acd355d9678e9839abe30a240666f186a30e8e42",
+                                  "2cfd9e9c442609382d976b33d3a34f4ccc17310528068beed99d57085e0ad289", 23),
+        (1719006490, 2.0, 1e-11): ("c25340cd2ac4e32b96030193d1847ce374ef686822e81afac04ef20f927c2570",
+                                   "4dc5c969f673ee2312b3b589b5032c98ef0d412d77dfb2f855450c49693d7809", 38),
+        (1719006490, 7.0, 1e-11): ("63df2a60203c52b0cd70bd38d0065a95361dbb92027260c006647443cacd70c9",
+                                   "a2b765059b5ca2e41e4dca6f0fe46d9182bd9dac301f019a73b84acc690e2611", 22),
+        (915810598, 2.0, None): ("cc07a0880f455f73b607372e0ad660b986563696e05a8774c8e18baeb63ff57d",
+                                 "fb6ff8da9b46c7df83b908f4a533468c8f66f5fd75ee77c4630ff1a301bad0b0", 36),
+    }
+
+    @pytest.mark.parametrize("seed, c, mu_final", list(PINS))
+    def test_d50_solve_is_pinned(self, seed, c, mu_final):
+        spec = InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=seed, budget_per_sensor=c)
+        config = BarrierConfig() if mu_final is None else BarrierConfig(mu_final=mu_final)
+        trace, _ = solve_barrier(generate(spec), config)
+        rows = "\n".join(f"{r.objective!r},{r.gap!r},{r.step_size!r},{r.barrier_mu!r}" for r in trace.iterates)
+        assert (
+            hashlib.sha256(trace.final_bits.bits.tobytes()).hexdigest(),
+            hashlib.sha256(rows.encode()).hexdigest(),
+            len(trace.iterates),
+        ) == self.PINS[seed, c, mu_final]
+
+    def test_newton_direction_mutates_no_input(self, monkeypatch):
+        # every direction of a d=50 solve, the Hessian-modification fallback included
+        # (this grid takes it in several stages), leaves b, grad and the Evaluation as it found them
+        original_factor, original_direction = model_mod.cholesky_lower, barrier_mod._newton_direction
+        failed, checked = [], []
+
+        def factor(a):
+            try:
+                return original_factor(a)
+            except FactorizationError:
+                failed.append(a.shape)
+                raise
+
+        def direction(instance, mu, b, slack, grad, ev):
+            before = [np.copy(a) for a in (b, grad, ev.gradient, ev.precisions, ev.cov_h)]
+            objective = ev.objective
+            failures = len(failed)
+            p = original_direction(instance, mu, b, slack, grad, ev)
+            for kept, now in zip(before, (b, grad, ev.gradient, ev.precisions, ev.cov_h)):
+                assert kept.tobytes() == now.tobytes()
+            assert ev.objective == objective
+            checked.append(len(failed) > failures)
+            return p
+
+        monkeypatch.setattr(model_mod, "cholesky_lower", factor)
+        monkeypatch.setattr(barrier_mod, "_newton_direction", direction)
+        spec = InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=2104691538, budget_per_sensor=2.0)
+        solve_barrier(generate(spec), BarrierConfig(mu_final=1e-9))
+        assert any(checked) and not all(checked)
 
 
 class TestConfigValidation:

@@ -308,3 +308,69 @@ def test_objective_positive_and_bounded_property(bits):
     ev = evaluate(inst, np.asarray(bits))
     assert 0.0 < ev.objective <= np.trace(inst.prior_covariance) + 1e-12
     assert np.all(ev.gradient < 0.0)
+
+
+def reference_hessian(instance, ev):
+    """objective_hessian's formula with a fresh array per operation and an np.diag_indices_from update."""
+    rho = ev.precisions
+    cross = ev.cov_h @ instance.sensing_matrix.T
+    cross_sq = ev.cov_h @ ev.cov_h.T
+    hess = (2.0 * LN4 * LN4) * (rho[:, None] * cross) * (cross_sq * rho[None, :])
+    hess[np.diag_indices_from(hess)] += LN4 * ev.gradient
+    return 0.5 * (hess + hess.T)
+
+
+def reference_evaluate(instance, bits):
+    """evaluate's formulas with dtrtri on a copy of the factor: objective, gradient and G = H C."""
+    from scipy.linalg.lapack import dtrtri
+
+    rho = precision_from_bits(instance, bits)
+    scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
+    factor = model.cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
+    inv_factor, _ = dtrtri(factor, lower=1)
+    cov_h = instance.sensing_matrix @ (inv_factor.T @ inv_factor)
+    gradient = -LN4 * rho * np.einsum("ij,ij->i", cov_h, cov_h)
+    return float(np.sum(inv_factor * inv_factor)), gradient, cov_h
+
+
+def _in_place_kernel_cases(seed, identity_prior):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(seed, d=int(rng.integers(1, 40)), m=int(rng.integers(1, 60)), identity_prior=identity_prior)
+    bits = random_feasible_bits(rng, inst)
+    bits[rng.random(inst.m) < 0.2] += 8.0  # precisions spread over orders of magnitude
+    return inst, bits
+
+
+class TestInPlaceKernels:
+    """The kernels that build in place reproduce the fresh-array formulas bit for bit and mutate no input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), identity_prior=st.booleans())
+    def test_hessian_matches_reference_property(self, seed, identity_prior):
+        self._check_hessian(*_in_place_kernel_cases(seed, identity_prior))
+
+    @pytest.mark.parametrize("c", [2.0, 7.0])
+    def test_hessian_matches_reference_on_d50_grid(self, c):
+        inst = generate(InstanceSpec(InstanceKind.GRID_LAPLACIAN, d=50, seed=915810598, budget_per_sensor=c))
+        self._check_hessian(inst, random_feasible_bits(np.random.default_rng(5), inst))
+
+    @staticmethod
+    def _check_hessian(inst, bits):
+        ev = evaluate(inst, bits)
+        kept = [np.copy(a) for a in (ev.cov_h, ev.gradient, ev.precisions)]
+        hess = model.objective_hessian(inst, ev)
+        assert hess.tobytes() == reference_hessian(inst, ev).tobytes()
+        np.testing.assert_array_equal(hess, hess.T)  # exactly symmetric
+        for before, now in zip(kept, (ev.cov_h, ev.gradient, ev.precisions)):
+            assert before.tobytes() == now.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), identity_prior=st.booleans())
+    def test_evaluate_matches_reference_property(self, seed, identity_prior):
+        inst, bits = _in_place_kernel_cases(seed, identity_prior)
+        ev = evaluate(inst, bits)
+        objective, gradient, cov_h = reference_evaluate(inst, bits)
+        assert ev.objective == objective
+        assert objective_value(inst, bits) == objective
+        assert ev.gradient.tobytes() == gradient.tobytes()
+        assert ev.cov_h.tobytes() == cov_h.tobytes()
