@@ -1,4 +1,4 @@
-"""Run OpenBLAS on one thread for the duration of a scope.
+"""scipy's LAPACK routines, and OpenBLAS on one thread for the duration of a scope.
 
 numpy and scipy wheels each bundle their own OpenBLAS, and both default to
 one worker thread per core.  At the sizes this package solves (d up to a few
@@ -12,12 +12,30 @@ shared by all Python threads keeps it at one until the outermost scope exits
 and restores the saved counts.  A nested scope only takes the lock and
 counts, about 0.9 us per decorated call (2 shared x86_64 cores).  Without
 the bundled libraries (another BLAS build) the scope does nothing.
+
+The kernel needs three LAPACK routines, ``dpotrf``, ``dtrtri`` and
+``dpotrs``.  ``from scipy.linalg.lapack import ...`` would run all of
+``scipy/linalg/__init__.py``, which pulls in ``numpy.testing`` and the
+array-API shims: about 60% of the time ``import bitalloc`` took, and 16 to
+17 MB of each benchmark workload's peak RSS (2 shared x86_64 cores).
+:func:`lapack_routines` instead loads scipy's compiled extension
+``scipy/linalg/_flapack`` on its own and
+registers it under its package name, so a later ``import scipy.linalg``
+reuses the same module.  The routines are the very f2py objects that
+``scipy.linalg.lapack`` exports, so the library, the wrappers and every
+output bit are unchanged.  The top-level ``scipy`` package is still
+imported first, since on some platforms it puts the bundled libraries on the
+loader's path.  Where no such extension file exists (another scipy layout)
+it falls back to the package import.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import sys
 import threading
 from pathlib import Path
 
@@ -29,6 +47,21 @@ _LIBRARIES = (
     (numpy, "libscipy_openblas64_*", "64_"),
     (scipy, "libscipy_openblas-*", ""),
 )
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def lapack_routines() -> tuple:
+    """scipy's f2py wrappers (dpotrf, dpotrs, dtrtri), loaded from the extension in scipy/linalg."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [str(Path(scipy.__file__).parent / "linalg")])
+        if spec is None:
+            from scipy.linalg import lapack as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+    return module.dpotrf, module.dpotrs, module.dtrtri
 
 
 @functools.cache

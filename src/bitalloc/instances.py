@@ -87,9 +87,16 @@ class InstanceSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
+_CONFIG_KEYS = ("kind", "d", "m", "kappa", "budget_per_sensor", "seed", "paths")
+_KAPPA_KEYS = ("low", "high")
+_PATH_KEYS = ("sensing_matrix", "kappa", "dynamic_range", "prior_covariance")
+
+
 def load_spec(path) -> InstanceSpec:
     """Parse the JSON instance config (keys: kind, d, m, kappa.low, kappa.high,
-    budget_per_sensor, seed, paths.*)."""
+    budget_per_sensor, seed, and for from-files paths.sensing_matrix,
+    paths.kappa, paths.dynamic_range, paths.prior_covariance).  Any other key
+    is a MatrixFormatError, so a misspelt one cannot silently keep a default."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -108,13 +115,20 @@ def spec_from_dict(payload: dict) -> InstanceSpec:
     kappa, paths = payload.get("kappa", {}), payload.get("paths", {})
     if not (isinstance(kappa, dict) and isinstance(paths, dict) and all(isinstance(p, str) for p in paths.values())):
         raise MatrixFormatError("kappa must be a JSON object, and paths an object of file names")
+    if "paths" in payload and kind is not InstanceKind.FROM_FILES:
+        raise MatrixFormatError(f"paths applies to from-files configs only, not {kind.value!r}")
+    unread = [*(key for key in payload if key not in _CONFIG_KEYS),
+              *(f"kappa.{key}" for key in kappa if key not in _KAPPA_KEYS),
+              *(f"paths.{key}" for key in paths if key not in _PATH_KEYS)]
+    if unread:
+        raise MatrixFormatError(f"unknown config key {', '.join(map(repr, unread))}")
     given = {key: value for key in ("d", "m", "seed") if (value := _integer(payload, key)) is not None}
     try:
         if "budget_per_sensor" in payload:
             given["budget_per_sensor"] = float(payload["budget_per_sensor"])
         return InstanceSpec(
             kind=kind,
-            kappa=KappaRange(**{key: float(kappa[key]) for key in ("low", "high") if key in kappa}),
+            kappa=KappaRange(**{key: float(value) for key, value in kappa.items()}),
             paths=paths or None,
             **given,
         )

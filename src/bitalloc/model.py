@@ -22,7 +22,10 @@ inside a solver, which holds the scope already, that costs about a
 microsecond per call.  At d = m = 50 (one BLAS thread, 2 shared x86_64
 cores) an evaluation takes about 57 us, of which the factorization and the
 triangular inverse are about 33 us, and :func:`objective_hessian`, built in
-place on its two products, about 24 us.
+place on its two products, about 24 us.  The three LAPACK routines are
+scipy's own f2py wrappers, loaded by :func:`~bitalloc._blas.lapack_routines`
+from scipy's compiled ``_flapack`` extension without the ``scipy.linalg``
+package import, which would take most of ``import bitalloc``'s time.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
-from ._blas import single_blas_thread
+from ._blas import lapack_routines, single_blas_thread
+
+dpotrf, dpotrs, dtrtri = lapack_routines()
 
 LN4 = math.log(4.0)
 

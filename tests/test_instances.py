@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bitalloc.instances import (
     load_spec,
     save_matrix,
     save_results,
+    spec_from_dict,
     uniform_allocation,
 )
 from bitalloc.model import DimensionMismatchError, cholesky_lower
@@ -362,6 +365,33 @@ class TestSpecConfig:
             load_spec(path)
         assert main(["solve", "--config", str(path)]) == 1
         assert "plan error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"kind": "grid-laplacian", "d": 5, "budget_per_senor": 3}, "budget_per_senor"),
+            ({"kind": "grid-laplacian", "d": 5, "kappa": {"low": 0.9, "hihg": 1.1}}, "kappa.hihg"),
+            ({"kind": "from-files", "paths": {"sensing_matrix": "h.mtx", "prior": "p.csv"}}, "paths.prior"),
+            ({"kind": "grid-laplacian", "d": 5, "paths": {"sensing_matrix": "h.mtx"}}, "paths"),
+        ],
+        ids=["top-level", "kappa", "paths", "paths-on-generated-kind"],
+    )
+    def test_unread_key_is_plan_error(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MatrixFormatError, match=re.escape(key)):
+            load_spec(path)
+        assert main(["solve", "--trials", "1", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("### Instance config schema", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        example = json.loads(re.sub(r"//.*", "", block))
+        assert tuple(example) == instances._CONFIG_KEYS
+        assert tuple(example["kappa"]) == instances._KAPPA_KEYS
+        assert set(example["paths"]) == set(instances._PATH_KEYS)
+        spec_from_dict({**example, "kind": "from-files"})  # every listed key is read
 
     def test_absent_keys_keep_the_spec_defaults(self, tmp_path):
         path = tmp_path / "spec.json"
