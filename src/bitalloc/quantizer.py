@@ -12,16 +12,23 @@ Monte-Carlo check is sharp.  The estimator under test is the LMMSE estimator
 in information form, so its one factorization is of a d x d matrix.
 
 The simulation streams over blocks of _CHANNEL_BLOCK channel rows and never
-holds an m x n array.  Each block is drawn, quantized and reduced in place in
-three buffers of k x n, allocated once, so memory is O((d + 3k) n) for n
-samples and block height k, not O(m n).  A row-major (m, n) uniform draw is the same stream as
-its row blocks drawn in order, so the dither does not depend on the block
-height, and each clean reading is the same dot product.  The readings and the
+holds an m x n array.  Each block's clean readings H x come from one gemm into
+a k x n plane; the dither draw, the quantizer, the weighting and the error
+statistics then run on row tiles of t rows (t = _TILE_DOUBLES / n, so a tile
+stays in cache) in two t x n buffers, and write the weighted readings into a
+second k x n plane, whose gemm adds the block's share of H' W y into the
+d x n right-hand side in place (beta = 1).  The buffers are allocated once,
+so memory is O((d + 2k) n + 2tn) for n samples, block height k and tile
+height t, not O(m n).  A row-major (m, n) uniform draw is the same stream as
+its row tiles drawn in order, so the dither does not depend on k or t, and
+each clean reading is the same dot product.  The readings and the
 per-channel error statistics are therefore those of an unblocked run whenever
 the BLAS rounds a row of H x the same in a block as in the whole product
 (the bundled OpenBLAS does at n = 2,000 and n = 10,000, not at every n).  The
-one sum that is reassociated by design is the one over channels in the
-estimator's right-hand side H' W y.
+tile height changes no bit: every product keeps the block's shape, and each
+channel's sums run along its own row.  The one sum that is reassociated by
+design is the one over channels in the estimator's right-hand side H' W y,
+added block by block.
 
 Sampling is single-threaded and seed-deterministic.  Anyone splitting the
 sample loop across workers must partition a jumpable or counter-based stream
@@ -30,12 +37,13 @@ per worker so a fixed partition count stays reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._blas import single_blas_thread
+from ._blas import blas_dgemm, single_blas_thread
 from .model import (
     DimensionMismatchError,
     ProblemInstance,
@@ -47,6 +55,20 @@ from .model import (
 
 # Channel rows quantized per block of the Monte-Carlo simulation.
 _CHANNEL_BLOCK = 64
+# Doubles per row tile of a block, in each of the two tile buffers; 256 KiB,
+# so a tile's dither, readings and block rows fit a 2 MiB L2 cache together.
+_TILE_DOUBLES = 1 << 15
+
+
+def _integer_at_least(value, minimum: int, name: str) -> int:
+    """``value`` as an int if it is an integer (numpy's included) of at least ``minimum``."""
+    try:
+        integer = operator.index(value)
+    except TypeError:
+        integer = None
+    if integer is None or integer < minimum:
+        raise DimensionMismatchError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return integer
 
 
 class DitherMode(Enum):
@@ -67,6 +89,7 @@ class QuantizerBank:
         if np.any(widths <= 0.0) or not np.all(np.isfinite(widths)):
             raise DimensionMismatchError("bin widths must be positive and finite")
         object.__setattr__(self, "bin_widths", widths)
+        object.__setattr__(self, "rng_seed", _integer_at_least(self.rng_seed, 0, "rng_seed"))
 
     @classmethod
     def for_allocation(cls, instance: ProblemInstance, bits, mode: DitherMode, seed: int) -> "QuantizerBank":
@@ -102,6 +125,47 @@ def quantize(value, bin_width, dither, mode: DitherMode, out=None):
     return level
 
 
+def _weighted_readings(h: np.ndarray, states: np.ndarray, bank: QuantizerBank, weights: np.ndarray, rng):
+    """Quantize every channel of H x over the sampled states x: (H' W y, per-channel error means, their se)."""
+    (m, d), n = h.shape, states.shape[1]
+    rhs = np.zeros((d, n))
+    rhs_t = rhs.T  # Fortran-ordered, so gemm accumulates into it in place
+    error_mean = np.empty(m)
+    error_se = np.empty(m)
+    # A lone last row joins the block before it: numpy sends a one-row product
+    # to BLAS gemv, whose sums can differ from gemm's.
+    edges = list(range(0, max(m - 1, 1), _CHANNEL_BLOCK)) + [m]
+    planes = np.empty((2, max(np.diff(edges)), n))
+    tile = min(max(_TILE_DOUBLES // n, 1), planes.shape[1])
+    tiles = np.empty((2, tile, n))
+    dgemm = blas_dgemm()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        clean, weighted = planes[:, : hi - lo]
+        np.matmul(h[lo:hi], states, out=clean)
+        for top in range(0, hi - lo, tile):
+            bottom = min(top + tile, hi - lo)
+            rows = slice(lo + top, lo + bottom)
+            dither, readings = tiles[:, : bottom - top]
+            widths = bank.bin_widths[rows, None]
+            # rng.uniform(-0.5, 0.5) draws the same doubles and adds -0.5 to each
+            rng.random(out=dither)
+            dither -= 0.5
+            dither *= widths
+            quantize(clean[top:bottom], widths, dither, bank.dither_mode, out=readings)
+            np.multiply(weights[rows, None], readings, out=weighted[top:bottom])
+            # per-channel errors, then the steps of mean and std(ddof=1)
+            errors = np.subtract(readings, clean[top:bottom], out=readings)
+            means = np.sum(errors, axis=1) / n
+            error_mean[rows] = means
+            errors -= means[:, None]
+            errors *= errors
+            error_se[rows] = np.sqrt(np.sum(errors, axis=1) / (n - 1)) / np.sqrt(n)
+        # rhs' += weighted' H[lo:hi], the block's share of H' W y added by gemm itself (beta = 1)
+        if dgemm(1.0, weighted.T, h[lo:hi].T, beta=1.0, c=rhs_t, trans_b=1, overwrite_c=1) is not rhs_t:
+            raise RuntimeError("dgemm did not accumulate into the right-hand side")
+    return rhs, error_mean, error_se
+
+
 @single_blas_thread()
 def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: QuantizerBank) -> MonteCarloReport:
     """Monte-Carlo MSE of the linear MMSE estimator fed by quantized readings.
@@ -115,53 +179,24 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     channels make the m x m measurement-space Gram  H C_x H' + W^{-1}
     numerically singular.
 
-    Channels are processed in row blocks, each adding its share of H' W y
-    into one d x n right-hand side, so peak memory is O((d + 3k) n) with
-    k = _CHANNEL_BLOCK rather than O(m n).  The dither stream is the one an
-    (m, n) draw would give (see the module docstring); the channel sum in
-    H' W y is reassociated, which moves the empirical MSE in its last digits
+    Channels run in blocks of k = _CHANNEL_BLOCK rows and row tiles of t
+    rows (see the module docstring), in two k x n planes and two t x n tiles,
+    so peak memory is O((d + 2k) n + 2tn) rather than O(m n); the block
+    buffers are freed before the d x d solve.  The channel sum in H' W y is
+    reassociated by block, which moves the empirical MSE in its last digits
     once m exceeds one block.  The allocation is checked by the evaluation
-    kernel before any sampling.  The standard errors need at least two
-    samples.
+    kernel, and ``sample_count`` (an integer of at least 2, for the standard
+    errors) before it, both before any sampling.
     """
-    if sample_count < 2:
-        raise DimensionMismatchError("sample_count must be at least 2 for a standard error")
+    n = _integer_at_least(sample_count, 2, "sample_count")
     if bank.bin_widths.shape != (instance.m,):
         raise DimensionMismatchError(f"bank must have {instance.m} channels")
     analytic = evaluate(instance, bits).objective
     rng = np.random.default_rng(bank.rng_seed)
     h = instance.sensing_matrix
-    n = int(sample_count)
-
     states = instance.prior_factor @ rng.standard_normal((instance.d, n))
     weights = 12.0 / bank.bin_widths**2
-    rhs = np.zeros((instance.d, n))
-    product = np.empty((instance.d, n))
-    error_mean = np.empty(instance.m)
-    error_se = np.empty(instance.m)
-    # A lone last row joins the block before it: numpy sends a one-row product
-    # to BLAS gemv, whose sums can differ from gemm's.
-    edges = list(range(0, max(instance.m - 1, 1), _CHANNEL_BLOCK)) + [instance.m]
-    blocks = np.empty((3, max(np.diff(edges)), n))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = slice(lo, hi)
-        clean, dither, readings = blocks[:, : hi - lo]
-        np.matmul(h[rows], states, out=clean)
-        widths = bank.bin_widths[rows, None]
-        # rng.uniform(-0.5, 0.5) draws the same doubles and adds -0.5 to each
-        rng.random(out=dither)
-        dither -= 0.5
-        dither *= widths
-        quantize(clean, widths, dither, bank.dither_mode, out=readings)
-        weighted = np.multiply(weights[rows, None], readings, out=dither)
-        rhs += np.matmul(h[rows].T, weighted, out=product)
-        # per-channel errors, then the steps of mean and std(ddof=1)
-        errors = np.subtract(readings, clean, out=clean)
-        means = np.sum(errors, axis=1) / n
-        error_mean[rows] = means
-        errors -= means[:, None]
-        errors *= errors
-        error_se[rows] = np.sqrt(np.sum(errors, axis=1) / (n - 1)) / np.sqrt(n)
+    rhs, error_mean, error_se = _weighted_readings(h, states, bank, weights, rng)
 
     scaled = h * np.sqrt(weights)[:, None]
     factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
