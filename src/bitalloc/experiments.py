@@ -36,7 +36,7 @@ from ._blas import single_blas_thread
 from .barrier import BarrierConfig, solve_barrier
 from .frank_wolfe import FwConfig, StepRule, separable_warm_start, solve_fw
 from .instances import InstanceKind, InstanceSpec, generate, save_results, uniform_allocation
-from .model import BitAllocationError, ProblemInstance, evaluate
+from .model import BitAllocationError, ProblemInstance, evaluate, integer_at_least
 from .quantizer import DitherMode, QuantizerBank, simulate_lmmse
 from .rounding import RoundingPreconditionError, round_with_guarantees
 from .trace import SolveTrace, write_trace
@@ -81,14 +81,8 @@ class ExperimentPlan:
     mc_samples: int = 100_000
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.mc_samples < 2:
-            raise ValueError("samples must be at least 2 for a standard error")
+        for name, minimum in (("trials", 1), ("threads", 1), ("seed", 0), ("mc_samples", 2)):
+            object.__setattr__(self, name, integer_at_least(getattr(self, name), minimum, name))
         if not self.time_limit > 0.0:  # also rejects NaN
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if self.experiment in (Experiment.UNIFORM_SWEEP, Experiment.SENSOR_SCALING):

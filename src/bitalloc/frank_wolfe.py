@@ -47,6 +47,7 @@ from .model import (
     ProblemInstance,
     allocation_array,
     evaluate,
+    integer_at_least,
     lipschitz_constant,
 )
 from .trace import GapCertificate, IterationRecord, SolveTrace, Termination
@@ -93,8 +94,8 @@ class FwConfig:
     step_rule: StepRule = StepRule.PAIRWISE
 
     def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if self.max_iterations is not None:
+            object.__setattr__(self, "max_iterations", integer_at_least(self.max_iterations, 1, "max_iterations"))
         if not self.gap_tolerance > 0.0:  # also rejects NaN
             raise ValueError("gap_tolerance must be positive")
         if not self.time_limit > 0.0:

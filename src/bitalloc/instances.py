@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import BitAllocationError, BitVector, DimensionMismatchError, ProblemInstance
+from .model import BitAllocationError, BitVector, DimensionMismatchError, ProblemInstance, integer_at_least
 
 
 class MatrixFormatError(BitAllocationError):
@@ -71,20 +71,16 @@ class InstanceSpec:
 
     def __post_init__(self):
         if self.kind is not InstanceKind.FROM_FILES:
-            if self.d is None or self.d < 1:
-                raise ValueError("d must be a positive integer")
-            if self.kind is InstanceKind.GRID_LAPLACIAN:
-                if self.m is not None and self.m != self.d:
-                    raise ValueError("grid Laplacian instances have m = d")
-                object.__setattr__(self, "m", self.d)
-            elif self.m is None or self.m < 1:
-                raise ValueError("m must be a positive integer")
+            object.__setattr__(self, "d", integer_at_least(self.d, 1, "d"))
+            grid = self.kind is InstanceKind.GRID_LAPLACIAN
+            if grid and self.m not in (None, self.d):
+                raise ValueError("grid Laplacian instances have m = d")
+            object.__setattr__(self, "m", integer_at_least(self.d if grid else self.m, 1, "m"))
         elif not self.paths or "sensing_matrix" not in self.paths:
             raise ValueError("from-files specs need paths.sensing_matrix")
         if not 0.0 <= self.budget_per_sensor < math.inf:
             raise ValueError(f"budget_per_sensor must be finite and nonnegative, got {self.budget_per_sensor}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", integer_at_least(self.seed, 0, "seed"))
 
 
 _CONFIG_KEYS = ("kind", "d", "m", "kappa", "budget_per_sensor", "seed", "paths")
@@ -146,8 +142,9 @@ def _integer(payload: dict, key: str) -> int | None:
 def kappa_from_dynamic_range(dynamic_range) -> np.ndarray:
     """Channel precision constants 12 / R^2 from per-channel dynamic ranges."""
     r = np.atleast_1d(np.asarray(dynamic_range, dtype=float))
-    if np.any(r <= 0.0):
-        raise DimensionMismatchError("dynamic ranges must be positive")
+    bad = np.flatnonzero(~((r > 0.0) & (r < math.inf)))  # NaN fails both comparisons
+    if bad.size:
+        raise DimensionMismatchError(f"dynamic ranges must be positive and finite, got {r[bad[0]]} at index {bad[0]}")
     return 12.0 / r**2
 
 

@@ -31,6 +31,7 @@ package import, which would take most of ``import bitalloc``'s time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +233,17 @@ class Evaluation:
             raise BitAllocationError(f"objective must be positive, got {self.objective}")
 
 
+def integer_at_least(value, minimum: int, name: str, error: type[Exception] = ValueError) -> int:
+    """The package's one integer rule: ``value`` as an int of at least ``minimum`` (numpy ints pass; 2.0 does not)."""
+    try:
+        integer = operator.index(value)
+    except TypeError:
+        integer = None
+    if integer is None or integer < minimum:
+        raise error(f"{name} must be at least {minimum} and an integer, got {value!r}")
+    return integer
+
+
 def allocation_array(bits, m: int | None = None) -> np.ndarray:
     """The package's one allocation check: a finite, nonempty 1-D float array, of length m when given.
 
@@ -251,13 +263,18 @@ def allocation_array(bits, m: int | None = None) -> np.ndarray:
     return arr
 
 
-def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
-    """Per-channel precision kappa_i * 4**b_i for an allocation."""
-    arr = allocation_array(bits, instance.m)
+def guarded_allocation(bits, m: int) -> np.ndarray:
+    """:func:`allocation_array` of length m with no component above MAX_BITS, so 2**b and 4**b stay finite."""
+    arr = allocation_array(bits, m)
     if (arr > MAX_BITS).any():
         bad = int(np.argmax(arr))
         raise BitRangeError(f"bit value {arr[bad]:.6g} at index {bad} exceeds overflow guard {MAX_BITS:g}")
-    return instance.kappa * 4.0 ** arr
+    return arr
+
+
+def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
+    """Per-channel precision kappa_i * 4**b_i for an allocation."""
+    return instance.kappa * 4.0 ** guarded_allocation(bits, instance.m)
 
 
 def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, float]:
@@ -299,8 +316,9 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
 def objective_value(instance: ProblemInstance, bits) -> float:
     """Objective alone, skipping the gradient extraction.
 
-    Same single-factorization cost structure as :func:`evaluate`; the
-    barrier takes its scale f(b0) from it.
+    Same single-factorization cost as :func:`evaluate`.  No solver calls it
+    (the barrier takes f(b0) from :func:`evaluate`): it is the public
+    objective-only entry point, and the benchmark's tracer hooks it.
     """
     return _assemble(instance, bits)[2]
 

@@ -37,7 +37,6 @@ per worker so a fixed partition count stays reproducible.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,10 +46,11 @@ from ._blas import blas_dgemm, single_blas_thread
 from .model import (
     DimensionMismatchError,
     ProblemInstance,
-    allocation_array,
     cholesky_lower,
     cholesky_solve,
     evaluate,
+    guarded_allocation,
+    integer_at_least,
 )
 
 # Channel rows quantized per block of the Monte-Carlo simulation.
@@ -58,17 +58,6 @@ _CHANNEL_BLOCK = 64
 # Doubles per row tile of a block, in each of the two tile buffers; 256 KiB,
 # so a tile's dither, readings and block rows fit a 2 MiB L2 cache together.
 _TILE_DOUBLES = 1 << 15
-
-
-def _integer_at_least(value, minimum: int, name: str) -> int:
-    """``value`` as an int if it is an integer (numpy's included) of at least ``minimum``."""
-    try:
-        integer = operator.index(value)
-    except TypeError:
-        integer = None
-    if integer is None or integer < minimum:
-        raise DimensionMismatchError(f"{name} must be an integer of at least {minimum}, got {value!r}")
-    return integer
 
 
 class DitherMode(Enum):
@@ -89,13 +78,13 @@ class QuantizerBank:
         if np.any(widths <= 0.0) or not np.all(np.isfinite(widths)):
             raise DimensionMismatchError("bin widths must be positive and finite")
         object.__setattr__(self, "bin_widths", widths)
-        object.__setattr__(self, "rng_seed", _integer_at_least(self.rng_seed, 0, "rng_seed"))
+        object.__setattr__(self, "rng_seed", integer_at_least(self.rng_seed, 0, "rng_seed", DimensionMismatchError))
 
     @classmethod
     def for_allocation(cls, instance: ProblemInstance, bits, mode: DitherMode, seed: int) -> "QuantizerBank":
-        """Bin widths implied by an allocation: R_i / 2^{b_i} with R_i = sqrt(12/kappa_i)."""
+        """Bin widths implied by an allocation (bits at most MAX_BITS): R_i / 2^{b_i} with R_i = sqrt(12/kappa_i)."""
         dynamic_range = np.sqrt(12.0 / instance.kappa)
-        return cls(dynamic_range / 2.0 ** allocation_array(bits, instance.m), mode, seed)
+        return cls(dynamic_range / 2.0 ** guarded_allocation(bits, instance.m), mode, seed)
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,7 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     kernel, and ``sample_count`` (an integer of at least 2, for the standard
     errors) before it, both before any sampling.
     """
-    n = _integer_at_least(sample_count, 2, "sample_count")
+    n = integer_at_least(sample_count, 2, "sample_count", DimensionMismatchError)
     if bank.bin_widths.shape != (instance.m,):
         raise DimensionMismatchError(f"bank must have {instance.m} channels")
     analytic = evaluate(instance, bits).objective

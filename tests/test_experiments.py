@@ -306,6 +306,30 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="samples"):
             ExperimentPlan(experiment=Experiment.VALIDATE, instance_spec=SMALL_GAUSSIAN, mc_samples=samples)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field, below in (("trials", 0), ("threads", 0), ("seed", -1), ("mc_samples", 1))
+            for value in (2.5, float("nan"), float("inf"), None, "3", below)
+        ],
+    )
+    def test_counts_and_seed_are_integers_at_their_minimum(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentPlan(experiment=Experiment.VALIDATE, instance_spec=SMALL_GAUSSIAN, **{field: value})
+
+    def test_numpy_integers_pass(self):
+        counts = {"trials": np.int64(2), "threads": np.int32(1), "seed": np.int64(5), "mc_samples": np.int64(200)}
+        plan = ExperimentPlan(experiment=Experiment.SOLVE, instance_spec=SMALL_GRID, **counts)
+        assert all(getattr(plan, name) == value and type(getattr(plan, name)) is int for name, value in counts.items())
+
+    def test_fractional_trials_fail_before_run(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(experiments, "_run_tasks", lambda *args: started.append(args))
+        with pytest.raises(ValueError, match="trials"):
+            run(ExperimentPlan(experiment=Experiment.SOLVE, instance_spec=SMALL_GRID, trials=2.5))
+        assert started == []
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(

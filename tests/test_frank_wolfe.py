@@ -369,6 +369,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FwConfig(**kwargs)
 
+    # None is not in the list: it is the default, which leaves the cap to solve_fw
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), "3", 0, np.float64(3.0)])
+    def test_max_iterations_is_an_integer_of_at_least_one(self, value):
+        # 2.5 used to be accepted, and t == cap never held, so the solve ran to its time limit
+        with pytest.raises(ValueError, match="max_iterations"):
+            FwConfig(max_iterations=value)
+
+    def test_numpy_integer_cap_passes(self):
+        config = FwConfig(max_iterations=np.int64(3), gap_tolerance=1e-300)
+        assert config.max_iterations == 3 and type(config.max_iterations) is int
+        assert solve_fw(random_instance(8), config).iterations == 3
+
 
 def test_trace_serialization_round_trip(tmp_path):
     trace = solve_fw(random_instance(13, d=3, m=4), FwConfig(max_iterations=10))

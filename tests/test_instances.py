@@ -279,6 +279,21 @@ class TestFromFiles:
         inst = generate(spec)
         np.testing.assert_allclose(inst.kappa, [3.0, 0.75])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -2.0])
+    def test_dynamic_range_must_be_positive_and_finite(self, bad):
+        with pytest.raises(DimensionMismatchError, match="dynamic ranges must be positive and finite.*index 1"):
+            kappa_from_dynamic_range([2.0, bad, 4.0])
+
+    def test_non_finite_dynamic_range_file_names_the_ranges(self, tmp_path):
+        save_matrix(tmp_path / "h.mtx", np.eye(2))
+        save_matrix(tmp_path / "r.csv", np.array([[2.0, np.nan]]), fmt="dense")
+        spec = InstanceSpec(
+            kind=InstanceKind.FROM_FILES,
+            paths={"sensing_matrix": str(tmp_path / "h.mtx"), "dynamic_range": str(tmp_path / "r.csv")},
+        )
+        with pytest.raises(DimensionMismatchError, match="dynamic ranges"):
+            generate(spec)
+
     def test_prior_file(self, tmp_path):
         save_matrix(tmp_path / "h.mtx", np.eye(2))
         save_matrix(tmp_path / "prior.csv", 2.0 * np.eye(2), fmt="dense")
@@ -414,6 +429,24 @@ class TestSpecConfig:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             InstanceSpec(kind=InstanceKind.GRID_LAPLACIAN, d=3, budget_per_sensor=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field, below in (("d", 0), ("m", 0), ("seed", -1))
+            for value in (2.5, float("nan"), float("inf"), None, "3", below)
+        ],
+    )
+    def test_sizes_and_seed_are_integers_at_their_minimum(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, **{"d": 3, "m": 5, field: value})
+
+    def test_numpy_integers_pass(self):
+        spec = InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=np.int64(3), m=np.int32(5), seed=np.int64(2))
+        assert (spec.d, spec.m, spec.seed) == (3, 5, 2) and all(type(v) is int for v in (spec.d, spec.m, spec.seed))
+        plain = generate(InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=3, m=5, seed=2))
+        np.testing.assert_array_equal(generate(spec).sensing_matrix, plain.sensing_matrix)
 
 
 class TestSaveResults:

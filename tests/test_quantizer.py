@@ -73,6 +73,20 @@ class TestQuantizerBank:
         rho = inst.kappa * 4.0**bits
         np.testing.assert_allclose(bank.bin_widths**2 / 12.0, 1.0 / rho, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits", [MAX_BITS + 1.0, 300.0, 2000.0])
+    def test_bits_above_the_guard_name_their_index(self, bits):
+        # 2.0 ** 2000 overflows, which used to surface as a RuntimeWarning and a bin-width error
+        inst = random_instance(5, d=3, m=4)
+        with pytest.raises(BitRangeError, match="at index 2 exceeds overflow guard"):
+            QuantizerBank.for_allocation(inst, [1.0, 2.0, bits, 0.0], DitherMode.SUBTRACTIVE, 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bits_at_the_guard_pass(self):
+        inst = random_instance(5, d=3, m=4)
+        bank = QuantizerBank.for_allocation(inst, [1.0, 2.0, MAX_BITS, 0.0], DitherMode.SUBTRACTIVE, 0)
+        assert np.all(bank.bin_widths > 0.0)
+
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(DimensionMismatchError):
             QuantizerBank(np.array([1.0, 0.0]), DitherMode.SUBTRACTIVE, 0)
