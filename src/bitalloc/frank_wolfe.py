@@ -47,6 +47,7 @@ from .model import (
     ProblemInstance,
     allocation_array,
     evaluate,
+    gradient_from_cov_h,
     integer_at_least,
     lipschitz_constant,
 )
@@ -248,7 +249,7 @@ class _State:
         self.cov_h -= (self.cov_h @ pair.rows_t) @ (np.array(k) @ pair.w.T)
         self.objective -= decrease
         self.rho[pair.idx] += drho
-        self.gradient = -LN4 * self.rho * np.einsum("ij,ij->i", self.cov_h, self.cov_h)
+        self.gradient = gradient_from_cov_h(self.rho, self.cov_h)
         self.updates += 1
 
 

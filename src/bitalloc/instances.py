@@ -58,7 +58,8 @@ class InstanceSpec:
     """Declarative recipe for a problem instance.
 
     ``d``/``m`` may be omitted for FROM_FILES (inferred from the sensing
-    matrix).  The total budget is budget_per_sensor * m.
+    matrix; when given, :func:`generate` checks them against it).  The total
+    budget is budget_per_sensor * m.
     """
 
     kind: InstanceKind
@@ -70,14 +71,16 @@ class InstanceSpec:
     paths: dict[str, str] | None = None
 
     def __post_init__(self):
-        if self.kind is not InstanceKind.FROM_FILES:
-            object.__setattr__(self, "d", integer_at_least(self.d, 1, "d"))
-            grid = self.kind is InstanceKind.GRID_LAPLACIAN
-            if grid and self.m not in (None, self.d):
-                raise ValueError("grid Laplacian instances have m = d")
-            object.__setattr__(self, "m", integer_at_least(self.d if grid else self.m, 1, "m"))
-        elif not self.paths or "sensing_matrix" not in self.paths:
+        files = self.kind is InstanceKind.FROM_FILES
+        if files and (not self.paths or "sensing_matrix" not in self.paths):
             raise ValueError("from-files specs need paths.sensing_matrix")
+        if self.kind is InstanceKind.GRID_LAPLACIAN:
+            if self.m not in (None, self.d):
+                raise ValueError("grid Laplacian instances have m = d")
+            object.__setattr__(self, "m", self.d)
+        for name in ("d", "m"):  # optional for from-files only
+            if not (files and getattr(self, name) is None):
+                object.__setattr__(self, name, integer_at_least(getattr(self, name), 1, name))
         if not 0.0 <= self.budget_per_sensor < math.inf:
             raise ValueError(f"budget_per_sensor must be finite and nonnegative, got {self.budget_per_sensor}")
         object.__setattr__(self, "seed", integer_at_least(self.seed, 0, "seed"))
@@ -118,7 +121,9 @@ def spec_from_dict(payload: dict) -> InstanceSpec:
               *(f"paths.{key}" for key in paths if key not in _PATH_KEYS)]
     if unread:
         raise MatrixFormatError(f"unknown config key {', '.join(map(repr, unread))}")
-    given = {key: value for key in ("d", "m", "seed") if (value := _integer(payload, key)) is not None}
+    # 5.0 reads as 5; the spec's integer rule checks everything else
+    given = {key: int(value) if type(value) is float and value.is_integer() else value
+             for key in ("d", "m", "seed") if (value := payload.get(key)) is not None}
     try:
         if "budget_per_sensor" in payload:
             given["budget_per_sensor"] = float(payload["budget_per_sensor"])
@@ -130,13 +135,6 @@ def spec_from_dict(payload: dict) -> InstanceSpec:
         )
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"invalid instance config: {exc}")
-
-
-def _integer(payload: dict, key: str) -> int | None:
-    value = payload.get(key)  # type(), not isinstance(): JSON true parses to a bool, which Python counts as an int
-    if value is not None and not (type(value) is int or type(value) is float and value.is_integer()):
-        raise MatrixFormatError(f"{key} must be an integer, got {value!r}")
-    return None if value is None else int(value)
 
 
 def kappa_from_dynamic_range(dynamic_range) -> np.ndarray:
@@ -211,30 +209,31 @@ def _grid_laplacian(rng, d: int) -> np.ndarray:
 
 
 def generate(spec: InstanceSpec) -> ProblemInstance:
-    """Materialize a spec into a validated problem instance."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind is not InstanceKind.FROM_FILES:
-        if spec.kind is InstanceKind.RANDOM_GAUSSIAN:
-            sensing = rng.standard_normal((spec.m, spec.d))
-        else:
-            sensing = _grid_laplacian(rng, spec.d)
-        kappa = rng.uniform(spec.kappa.low, spec.kappa.high, size=spec.m)  # grids have m = d
-        return ProblemInstance.with_identity_prior(sensing, kappa, spec.budget_per_sensor * spec.m)
+    """Materialize a spec into a validated problem instance.
 
+    Only the sensing matrix depends on the kind.  kappa and the prior come
+    from their files if named; else kappa is drawn next and the prior is I.
+    """
+    rng = np.random.default_rng(spec.seed)
     paths = spec.paths or {}
-    sensing = load_matrix(paths["sensing_matrix"])
-    m = sensing.shape[0]
+    if spec.kind is InstanceKind.RANDOM_GAUSSIAN:
+        sensing = rng.standard_normal((spec.m, spec.d))
+    elif spec.kind is InstanceKind.GRID_LAPLACIAN:
+        sensing = _grid_laplacian(rng, spec.d)
+    else:
+        sensing = load_matrix(paths["sensing_matrix"])
+        if sensing.shape != (wanted := (spec.m or sensing.shape[0], spec.d or sensing.shape[1])):
+            raise MatrixFormatError(
+                f"{paths['sensing_matrix']}: sensing matrix is {sensing.shape}, but the spec's (m, d) is {wanted}")
+    m, d = sensing.shape
     if "kappa" in paths:
         kappa = _load_vector(paths["kappa"], m, "kappa")
     elif "dynamic_range" in paths:
         kappa = kappa_from_dynamic_range(_load_vector(paths["dynamic_range"], m, "dynamic_range"))
     else:
         kappa = rng.uniform(spec.kappa.low, spec.kappa.high, size=m)
-    budget = spec.budget_per_sensor * m
-    if "prior_covariance" in paths:
-        prior = load_matrix(paths["prior_covariance"])
-        return ProblemInstance(sensing, prior, kappa, budget)
-    return ProblemInstance.with_identity_prior(sensing, kappa, budget)
+    prior = load_matrix(paths["prior_covariance"]) if "prior_covariance" in paths else np.eye(d)
+    return ProblemInstance(sensing, prior, kappa, spec.budget_per_sensor * m)
 
 
 def uniform_allocation(instance: ProblemInstance) -> BitVector:

@@ -15,7 +15,8 @@ objective and G = H C.  The evaluation keeps G, not the factor; the gradient
 and the Hessian ln(4)^2 * 2 (rho o GH') o (GG' o rho) + diag(ln(4) grad) (o
 elementwise) are read from G in O(m^2 d), with no further solve.  Every
 factorization goes through :func:`cholesky_lower`, so tests can count or
-sabotage them.  :func:`evaluate`, :func:`objective_value` and
+sabotage them.  :func:`evaluate` is the kernel's one body
+(:func:`objective_value` returns its objective); it and
 :func:`hessian_exact` run inside :func:`~bitalloc._blas.single_blas_thread`,
 so a bare call does not leave an OpenBLAS worker spinning on another core;
 inside a solver, which holds the scope already, that costs about a
@@ -234,9 +235,9 @@ class Evaluation:
 
 
 def integer_at_least(value, minimum: int, name: str, error: type[Exception] = ValueError) -> int:
-    """The package's one integer rule: ``value`` as an int of at least ``minimum`` (numpy ints pass; 2.0 does not)."""
+    """The package's one integer rule: ``value`` as an int of at least ``minimum`` (numpy ints pass; 2.0, True fail)."""
     try:
-        integer = operator.index(value)
+        integer = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         integer = None
     if integer is None or integer < minimum:
@@ -277,15 +278,15 @@ def precision_from_bits(instance: ProblemInstance, bits) -> np.ndarray:
     return instance.kappa * 4.0 ** guarded_allocation(bits, instance.m)
 
 
-def _assemble(instance: ProblemInstance, bits) -> tuple[np.ndarray, np.ndarray, float]:
-    """Precisions, the inverse of the information matrix's Cholesky factor and the objective: one factorization."""
-    rho = precision_from_bits(instance, bits)
-    scaled = instance.sensing_matrix * np.sqrt(rho)[:, None]
-    info = instance.prior_inverse + scaled.T @ scaled
-    inv_factor, status = dtrtri(cholesky_lower(info), lower=1, overwrite_c=1)
-    if status != 0:
-        raise FactorizationError(f"triangular inverse failed (info {status})")
-    return rho, inv_factor, float((inv_factor * inv_factor).sum())
+def information_matrix(instance: ProblemInstance, weights: np.ndarray) -> np.ndarray:
+    """P^-1 + H' diag(weights) H from the rows of H scaled by sqrt(weights), a copy freed on return."""
+    scaled = instance.sensing_matrix * np.sqrt(weights)[:, None]
+    return instance.prior_inverse + scaled.T @ scaled
+
+
+def gradient_from_cov_h(rho: np.ndarray, cov_h: np.ndarray) -> np.ndarray:
+    """The gradient -ln(4) * rho_i * ||(C h_i)||^2 from the rows of G = H C."""
+    return -LN4 * rho * np.einsum("ij,ij->i", cov_h, cov_h)
 
 
 @single_blas_thread()
@@ -305,22 +306,17 @@ def evaluate(instance: ProblemInstance, bits) -> Evaluation:
     allowed (the objective is defined on all of R^m); values above MAX_BITS
     raise BitRangeError before they can overflow.
     """
-    rho, inv_factor, objective = _assemble(instance, bits)
+    rho = precision_from_bits(instance, bits)
+    inv_factor, status = dtrtri(cholesky_lower(information_matrix(instance, rho)), lower=1, overwrite_c=1)
+    if status != 0:
+        raise FactorizationError(f"triangular inverse failed (info {status})")
     cov_h = instance.sensing_matrix @ (inv_factor.T @ inv_factor)
-    quad = np.einsum("ij,ij->i", cov_h, cov_h)
-    gradient = -LN4 * rho * quad
-    return Evaluation(objective=objective, gradient=gradient, precisions=rho, cov_h=cov_h)
+    return Evaluation(float((inv_factor * inv_factor).sum()), gradient_from_cov_h(rho, cov_h), rho, cov_h)
 
 
-@single_blas_thread()
 def objective_value(instance: ProblemInstance, bits) -> float:
-    """Objective alone, skipping the gradient extraction.
-
-    Same single-factorization cost as :func:`evaluate`.  No solver calls it
-    (the barrier takes f(b0) from :func:`evaluate`): it is the public
-    objective-only entry point, and the benchmark's tracer hooks it.
-    """
-    return _assemble(instance, bits)[2]
+    """Objective alone, ``evaluate(instance, bits).objective``; no solver calls it, the benchmark's tracer hooks it."""
+    return evaluate(instance, bits).objective
 
 
 def lipschitz_constant(instance: ProblemInstance) -> float:

@@ -50,6 +50,7 @@ from .model import (
     cholesky_solve,
     evaluate,
     guarded_allocation,
+    information_matrix,
     integer_at_least,
 )
 
@@ -187,8 +188,7 @@ def simulate_lmmse(instance: ProblemInstance, bits, sample_count: int, bank: Qua
     weights = 12.0 / bank.bin_widths**2
     rhs, error_mean, error_se = _weighted_readings(h, states, bank, weights, rng)
 
-    scaled = h * np.sqrt(weights)[:, None]
-    factor = cholesky_lower(instance.prior_inverse + scaled.T @ scaled)
+    factor = cholesky_lower(information_matrix(instance, weights))
     estimates = cholesky_solve(factor, rhs)
     # the spent right-hand side takes the errors in place; it is C-ordered
     # like states, so the sum over axis 0 adds each sample's squares row by

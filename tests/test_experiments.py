@@ -311,7 +311,7 @@ class TestPlanValidation:
         [
             (field, value)
             for field, below in (("trials", 0), ("threads", 0), ("seed", -1), ("mc_samples", 1))
-            for value in (2.5, float("nan"), float("inf"), None, "3", below)
+            for value in (2.5, float("nan"), float("inf"), None, "3", below, True, False)
         ],
     )
     def test_counts_and_seed_are_integers_at_their_minimum(self, field, value):

@@ -370,7 +370,7 @@ class TestConfigValidation:
             FwConfig(**kwargs)
 
     # None is not in the list: it is the default, which leaves the cap to solve_fw
-    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), "3", 0, np.float64(3.0)])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), "3", 0, np.float64(3.0), True, False])
     def test_max_iterations_is_an_integer_of_at_least_one(self, value):
         # 2.5 used to be accepted, and t == cap never held, so the solve ran to its time limit
         with pytest.raises(ValueError, match="max_iterations"):

@@ -173,6 +173,65 @@ class TestReplayedDraws:
         assert digest.hexdigest() == self.PINS[d]
 
 
+def instance_digest(*insts):
+    """sha256 over the sensing matrix, prior, kappa and budget bytes of each instance."""
+    digest = hashlib.sha256()
+    for inst in insts:
+        for array in (inst.sensing_matrix, inst.prior_covariance, inst.kappa, np.float64(inst.budget)):
+            digest.update(np.asarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestGeneratePins:
+    """generate's output for the Gaussian and from-files kinds, pinned byte for byte like the grids above."""
+
+    GAUSSIAN_PINS = {
+        (1, 1): "c95bf37099dac27274dd6dd72ed316d7f63c737affbbd755adbc287101146a17",
+        (7, 3): "c432381052a0848dff99ce9ea5346ebe7d5722a63af3ae890a466d85aad2bc63",
+        (50, 1000): "5192b3d0e7706b0f8df3805bd7b37222b0921a4c98f249a4d482d0dc703c448d",
+    }
+
+    @pytest.mark.parametrize("d, m", sorted(GAUSSIAN_PINS))
+    def test_gaussians_are_pinned(self, d, m):
+        specs = [
+            InstanceSpec(kind=InstanceKind.RANDOM_GAUSSIAN, d=d, m=m, seed=seed, budget_per_sensor=0.5 * seed)
+            for seed in range(10)
+        ]
+        assert instance_digest(*map(generate, specs)) == self.GAUSSIAN_PINS[d, m]
+
+    # keyed by which of the prior, kappa and dynamic-range files the spec names
+    FILE_PINS = {
+        (False, False, False): "3a043831f69ff5dabc6b46803447b3140213d0d1c88f3a0a7e557cfe2d6f26a5",
+        (False, False, True): "c56cc891207a3f58019a7c601ed8bbce073ad2b2fae85e3394ccdeec26e693b7",
+        (False, True, False): "6221d1d3801dc9105bf2e5f21ed56346faf2cb135630f4d8d688f8c5f81fe0dc",
+        (False, True, True): "6221d1d3801dc9105bf2e5f21ed56346faf2cb135630f4d8d688f8c5f81fe0dc",
+        (True, False, False): "5070c3831a7f4d50e6574dd830879c80043c7c2456add448eb51f7a8dd1f69de",
+        (True, False, True): "4d05aab6c2c2e636cd896319896b85f6e71e9077d912e42dfacbc5223153f087",
+        (True, True, False): "817d8b0985a8e2e28c9abed4777ca585dda59fec64eb71a818227dee235f154b",
+        (True, True, True): "817d8b0985a8e2e28c9abed4777ca585dda59fec64eb71a818227dee235f154b",
+    }
+
+    @pytest.mark.parametrize("prior, kappa, dynamic_range", sorted(FILE_PINS))
+    def test_from_files_are_pinned(self, tmp_path, prior, kappa, dynamic_range):
+        rng = np.random.default_rng(11)
+        sensing = rng.standard_normal((6, 4))
+        root = rng.standard_normal((4, 4))
+        files = {
+            "sensing_matrix": ("h.mtx", sensing, "coordinate"),
+            "prior_covariance": ("prior.csv", root @ root.T + np.eye(4), "dense"),
+            "kappa": ("kappa.csv", rng.uniform(0.5, 2.0, (1, 6)), "dense"),
+            "dynamic_range": ("ranges.csv", rng.uniform(1.0, 4.0, (6, 1)), "dense"),
+        }
+        wanted = {"sensing_matrix": True, "prior_covariance": prior, "kappa": kappa, "dynamic_range": dynamic_range}
+        paths = {}
+        for key, (name, matrix, fmt) in files.items():
+            if wanted[key]:
+                save_matrix(tmp_path / name, matrix, fmt=fmt)
+                paths[key] = str(tmp_path / name)
+        spec = InstanceSpec(kind=InstanceKind.FROM_FILES, budget_per_sensor=1.5, seed=3, paths=paths)
+        assert instance_digest(generate(spec)) == self.FILE_PINS[prior, kappa, dynamic_range]
+
+
 class TestUniformAllocation:
     def test_two_bits_each(self):
         inst = generate(grid_spec(c=2.0))
@@ -318,6 +377,25 @@ class TestFromFiles:
         with pytest.raises(ValueError, match="sensing_matrix"):
             InstanceSpec(kind=InstanceKind.FROM_FILES, paths={})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, value) for field in ("d", "m") for value in (-3, 0, 2.5, float("nan"), "3", True, False)],
+    )
+    def test_given_sizes_are_integers_at_least_one(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            InstanceSpec(kind=InstanceKind.FROM_FILES, paths={"sensing_matrix": "h.mtx"}, **{field: value})
+
+    def test_given_sizes_must_match_the_sensing_file(self, tmp_path):
+        save_matrix(tmp_path / "h.mtx", np.ones((4, 3)))
+        paths = {"sensing_matrix": str(tmp_path / "h.mtx")}
+        for sizes in ({}, {"m": 4}, {"d": 3}, {"m": 4, "d": 3}):
+            inst = generate(InstanceSpec(kind=InstanceKind.FROM_FILES, paths=paths, **sizes))
+            assert inst.sensing_matrix.shape == (4, 3)
+        for sizes, wanted in (({"m": 5}, "(5, 3)"), ({"d": 2}, "(4, 2)"), ({"m": 3, "d": 4}, "(3, 4)")):
+            message = f"h.mtx: sensing matrix is (4, 3), but the spec's (m, d) is {wanted}"
+            with pytest.raises(MatrixFormatError, match=re.escape(message)):
+                generate(InstanceSpec(kind=InstanceKind.FROM_FILES, paths=paths, **sizes))
+
 
 class TestSpecConfig:
     def test_load_full_config(self, tmp_path):
@@ -371,6 +449,8 @@ class TestSpecConfig:
             {"kind": "from-files", "paths": ["sensing_matrix"]},
             {"kind": "from-files", "paths": {"sensing_matrix": 5}},
             {"kind": "grid-laplacian", "d": 5, "seed": -2},
+            {"kind": "random-gaussian", "d": 5, "m": True},
+            {"kind": "from-files", "d": -3, "m": 2.5, "paths": {"sensing_matrix": "h.mtx"}},
         ],
     )
     def test_malformed_config_is_plan_error(self, tmp_path, capsys, payload):
@@ -435,7 +515,7 @@ class TestSpecConfig:
         [
             (field, value)
             for field, below in (("d", 0), ("m", 0), ("seed", -1))
-            for value in (2.5, float("nan"), float("inf"), None, "3", below)
+            for value in (2.5, float("nan"), float("inf"), None, "3", below, True, False)
         ],
     )
     def test_sizes_and_seed_are_integers_at_their_minimum(self, field, value):

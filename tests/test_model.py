@@ -184,13 +184,14 @@ class TestEvaluate:
             numeric = fd_gradient(lambda x: evaluate(inst, x).objective, bits, step=3e-5)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6)
 
-    def test_single_factorization_per_call(self, rng, monkeypatch):
+    @pytest.mark.parametrize("entry", [evaluate, objective_value], ids=["evaluate", "objective_value"])
+    def test_single_factorization_per_call(self, rng, monkeypatch, entry):
         inst = random_instance(3)
         bits = random_feasible_bits(rng, inst)
         calls = []
         original = model.cholesky_lower
         monkeypatch.setattr(model, "cholesky_lower", lambda mat: calls.append(1) or original(mat))
-        evaluate(inst, bits)
+        entry(inst, bits)
         assert len(calls) == 1
 
     def test_negative_bits_allowed(self):

@@ -457,7 +457,9 @@ class TestIntegerArguments:
     INSTANCE = random_instance(3, d=3, m=4)
     BITS = np.full(4, 2.0)
 
-    @pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, 10.0, np.float64(10.0), "10", None])
+    @pytest.mark.parametrize(
+        "count", [float("nan"), float("inf"), 2.5, 10.0, np.float64(10.0), "10", None, True, False]
+    )
     def test_non_integer_sample_count(self, count, monkeypatch):
         evaluated = []
         monkeypatch.setattr(quantizer, "evaluate", lambda *args: evaluated.append(args))
@@ -466,7 +468,7 @@ class TestIntegerArguments:
             simulate_lmmse(self.INSTANCE, self.BITS, count, bank)
         assert evaluated == []
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, float("nan"), 2.0, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, float("nan"), 2.0, "3", None, True, False])
     def test_bad_seed(self, seed):
         with pytest.raises(DimensionMismatchError, match="rng_seed"):
             QuantizerBank.for_allocation(self.INSTANCE, self.BITS, DitherMode.SUBTRACTIVE, seed=seed)
