@@ -12,7 +12,8 @@ same spec produces the same bytes.
 Matrix files come in two text formats: a coordinate form (optional
 %-comment lines, a "rows cols nnz" header, then 1-based "row col value"
 triples) and dense comma-delimited rows.  Values are written with repr so a
-save/load round trip is bitwise exact.
+save/load round trip is bitwise exact, except that the coordinate form
+stores no zeros: a -0.0 entry loads as +0.0.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def load_spec(path) -> InstanceSpec:
     paths.kappa, paths.dynamic_range, paths.prior_covariance).  Any other key
     is a MatrixFormatError, so a misspelt one cannot silently keep a default."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"config is not valid JSON: {exc}", line_number=exc.lineno)
     return spec_from_dict(payload)
@@ -124,17 +125,24 @@ def spec_from_dict(payload: dict) -> InstanceSpec:
     # 5.0 reads as 5; the spec's integer rule checks everything else
     given = {key: int(value) if type(value) is float and value.is_integer() else value
              for key in ("d", "m", "seed") if (value := payload.get(key)) is not None}
+    if "budget_per_sensor" in payload:
+        given["budget_per_sensor"] = _json_real(payload["budget_per_sensor"], "budget_per_sensor")
     try:
-        if "budget_per_sensor" in payload:
-            given["budget_per_sensor"] = float(payload["budget_per_sensor"])
         return InstanceSpec(
             kind=kind,
-            kappa=KappaRange(**{key: float(value) for key, value in kappa.items()}),
+            kappa=KappaRange(**{key: _json_real(value, f"kappa.{key}") for key, value in kappa.items()}),
             paths=paths or None,
             **given,
         )
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"invalid instance config: {exc}")
+
+
+def _json_real(value, name: str) -> float:
+    """A JSON number as a float; true, strings and null are a MatrixFormatError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MatrixFormatError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def kappa_from_dynamic_range(dynamic_range) -> np.ndarray:
@@ -146,45 +154,20 @@ def kappa_from_dynamic_range(dynamic_range) -> np.ndarray:
     return 12.0 / r**2
 
 
-def _rows(rng, highs, batch: int):
-    """Endless draws of ``rng.integers(0, highs)`` (an int, or a row for a list), ``batch`` per call."""
-    while True:
-        yield from rng.integers(0, highs, size=(batch, *np.shape(highs))).tolist()
-
-
-def _rewind(rng, state: dict, highs, taken: int) -> None:
-    """Put rng back at ``state`` and redraw, in one call, the ``taken`` draws of ``highs`` made since."""
-    rng.bit_generator.state = state
-    rng.integers(0, highs, size=(taken, *np.shape(highs)))
-
-
 def _connected_edges(rng, n_nodes: int, n_edges: int) -> list[tuple[int, int]]:
     # Aldous-Broder: a walk on the complete graph that keeps the edge by which
-    # it first reaches each node draws a uniform spanning tree.  Both loops
-    # draw in batches and then rewind the stream to redraw just the rows they
-    # used: numpy's bounded integers take the same values from the stream in
-    # one call as in many, Lemire rejections included, so rng ends where one
-    # call per row would leave it.
+    # it first reaches each node draws a uniform spanning tree.
     edges, visited, node = set(), {0}, 0
-    highs, start = n_nodes - 1, rng.bit_generator.state
-    for taken, step in enumerate(_rows(rng, highs, 4 * n_nodes), 1):
+    while len(visited) < n_nodes:
+        step = int(rng.integers(n_nodes - 1))
         nxt = step + (step >= node)  # uniform over the other nodes
         if nxt not in visited:
             visited.add(nxt)
             edges.add((min(node, nxt), max(node, nxt)))
-            if len(visited) == n_nodes:
-                break
         node = nxt
-    _rewind(rng, start, highs, taken)
-    # Extra edges take the draws of rng.choice(n_nodes, size=2, replace=False),
-    # Floyd's algorithm: u on [0, n-2], then v on [0, n-1], which becomes n-1
-    # if it equals u, then one draw that shuffles the pair.
-    highs, start, taken = [n_nodes - 1, n_nodes, 2], rng.bit_generator.state, 0
-    pairs = _rows(rng, highs, n_nodes)
     while len(edges) < n_edges:
-        (u, v, _), taken = next(pairs), taken + 1
-        edges.add((min(u, v), max(u, v)) if v != u else (u, n_nodes - 1))
-    _rewind(rng, start, highs, taken)
+        u, v = rng.choice(n_nodes, size=2, replace=False).tolist()
+        edges.add((min(u, v), max(u, v)))
     return sorted(edges)
 
 
@@ -259,22 +242,22 @@ def load_matrix(path) -> np.ndarray:
     integers is read as a coordinate header "rows cols nnz"; anything else is
     parsed as dense comma-delimited rows.
     """
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not text
-        raise MatrixFormatError(f"{path}: cannot read: {exc}")
-    lines = text.splitlines()
-    data_lines = [
-        (idx + 1, line.strip())
-        for idx, line in enumerate(lines)
-        if line.strip() and not line.strip().startswith("%")
-    ]
+    stripped = (line.strip() for line in _read_text(path).splitlines())
+    data_lines = [(idx, line) for idx, line in enumerate(stripped, 1) if line and not line.startswith("%")]
     if not data_lines:
         raise MatrixFormatError(f"{path}: no data lines")
     tokens = data_lines[0][1].split()
     if len(tokens) == 3 and all(_is_int(t) for t in tokens):
         return _parse_coordinate(data_lines, path)
     return _parse_dense(data_lines, path)
+
+
+def _read_text(path) -> str:
+    """The contents of an outside text file; any failure to read it is a MatrixFormatError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, or not text
+        raise MatrixFormatError(f"{path}: cannot read: {exc}")
 
 
 def _is_int(token: str) -> bool:
@@ -342,8 +325,7 @@ def save_matrix(path, matrix, fmt: str = "coordinate") -> None:
         raise ValueError(f"unknown matrix format {fmt!r}")
     nz = np.nonzero(mat)
     lines = [f"{mat.shape[0]} {mat.shape[1]} {len(nz[0])}"]
-    for i, j in zip(*nz):
-        lines.append(f"{i + 1} {j + 1} {repr(float(mat[i, j]))}")
+    lines += (f"{i + 1} {j + 1} {float(mat[i, j])!r}" for i, j in zip(*nz))
     out.write_text("\n".join(lines) + "\n")
 
 
@@ -352,9 +334,7 @@ def save_results(path, records) -> None:
     records = list(records)
     if not records:
         raise ValueError("cannot infer a header from zero records")
-    fieldnames = list(records[0].keys())
     with Path(path).open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+        writer = csv.DictWriter(handle, fieldnames=list(records[0].keys()))
         writer.writeheader()
-        for record in records:
-            writer.writerow(record)
+        writer.writerows(records)

@@ -129,7 +129,7 @@ def reference_laplacian(rng, d):
 
 
 class TestReplayedDraws:
-    """The batched, rewound edge draws equal the scalar calls: same edges, same generator state after."""
+    """The grid walk matches the scalar reference: same edges, and the same generator state after the walk."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -257,14 +257,21 @@ class TestMatrixIo:
         mat = rng.standard_normal((5, 3))
         path = tmp_path / "mat.mtx"
         save_matrix(path, mat, fmt="coordinate")
-        np.testing.assert_array_equal(load_matrix(path), mat)
+        assert load_matrix(path).tobytes() == mat.tobytes()
 
     def test_dense_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(9)
         mat = rng.standard_normal((4, 6))
         path = tmp_path / "mat.csv"
         save_matrix(path, mat, fmt="dense")
-        np.testing.assert_array_equal(load_matrix(path), mat)
+        assert load_matrix(path).tobytes() == mat.tobytes()
+
+    def test_negative_zero_kept_by_dense_only(self, tmp_path):
+        mat = np.array([[-0.0, 1.5], [2.5, -0.0]])
+        save_matrix(tmp_path / "mat.csv", mat, fmt="dense")
+        save_matrix(tmp_path / "mat.mtx", mat, fmt="coordinate")
+        assert load_matrix(tmp_path / "mat.csv").tobytes() == mat.tobytes()
+        assert load_matrix(tmp_path / "mat.mtx").tobytes() == np.abs(mat).tobytes()  # no zeros stored
 
     def test_bad_entry_reports_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
@@ -446,6 +453,11 @@ class TestSpecConfig:
             {"kind": "grid-laplacian", "d": 5, "seed": 1.5},
             {"kind": "grid-laplacian", "d": 5, "seed": True},
             {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": [2.0]},
+            {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": True},
+            {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": "2.5"},
+            {"kind": "grid-laplacian", "d": 5, "budget_per_sensor": None},
+            {"kind": "grid-laplacian", "d": 5, "kappa": {"low": True}},
+            {"kind": "grid-laplacian", "d": 5, "kappa": {"high": "1.1"}},
             {"kind": "from-files", "paths": ["sensing_matrix"]},
             {"kind": "from-files", "paths": {"sensing_matrix": 5}},
             {"kind": "grid-laplacian", "d": 5, "seed": -2},
@@ -457,6 +469,16 @@ class TestSpecConfig:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(MatrixFormatError):
+            load_spec(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "plan error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir, lambda path: path.write_bytes(b"\xff{}")],
+                             ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_plan_error(self, tmp_path, capsys, make):
+        path = tmp_path / "spec.json"
+        make(path)
+        with pytest.raises(MatrixFormatError, match="spec.json: cannot read"):
             load_spec(path)
         assert main(["solve", "--config", str(path)]) == 1
         assert "plan error" in capsys.readouterr().err
